@@ -25,7 +25,7 @@ class BasicBlock:
     """
 
     __slots__ = ("name", "instructions", "fallthrough", "_preds",
-                 "_plan", "_mem_profile")
+                 "_plan", "_mem_profile", "_exec")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -34,16 +34,19 @@ class BasicBlock:
         self.fallthrough: Optional[str] = None
         self._preds: Tuple[str, ...] = ()
         #: Derived caches (never pickled): the fast engine's decoded
-        #: :class:`~repro.uarch.plan.BlockPlan`, and the (loads, stores)
-        #: count pair used by :meth:`repro.program.trace.Trace.append`.
+        #: :class:`~repro.uarch.plan.BlockPlan`, the (loads, stores)
+        #: count pair used by :meth:`repro.program.trace.Trace.append`,
+        #: and the interpreter's compiled datapath function
+        #: (:func:`repro.program.interpreter.compile_block`).
         self._plan = None
         self._mem_profile: Optional[Tuple[int, int]] = None
+        self._exec = None
 
     # -- pickling ----------------------------------------------------------
     # Derived caches are excluded: a plan holds references into one
-    # program's CFG and must never leak through a pickled trace.  The
-    # legacy slot-tuple state produced before these caches existed is
-    # still accepted.
+    # program's CFG and must never leak through a pickled trace, and a
+    # compiled function cannot be pickled at all.  The legacy slot-tuple
+    # state produced before these caches existed is still accepted.
 
     def __getstate__(self):
         return {
@@ -62,6 +65,7 @@ class BasicBlock:
         self._preds = state.get("_preds", ())
         self._plan = None
         self._mem_profile = None
+        self._exec = None
 
     # -- structure queries -------------------------------------------------
 

@@ -89,9 +89,11 @@ class BenchmarkContext:
         self._wish_hints: Optional[HintTable] = None
         self._sim_cache: Dict[str, SimStats] = {}
         self._analysis_loaded = False
-        #: Wall-clock seconds spent in each stage *by this process*.
+        #: Wall-clock seconds spent in each stage *by this process*.  The
+        #: stages are disjoint: each timer starts only after the artifacts
+        #: it consumes are resolved, so they sum to at most wall clock.
         self.stage_seconds: Dict[str, float] = {
-            "build": 0.0, "profile": 0.0, "simulate": 0.0,
+            "build": 0.0, "interpret": 0.0, "profile": 0.0, "simulate": 0.0,
         }
         self.sims_run = 0        # timing simulations actually executed
         self.sim_memo_hits = 0   # served from the in-memory memo
@@ -171,7 +173,7 @@ class BenchmarkContext:
                 workload = self.workload  # timed as "build"
                 t0 = time.perf_counter()
                 self._trace = workload.run()
-                self._timed("profile", t0)
+                self._timed("interpret", t0)
                 if self._cache is not None:
                     self._cache.store_pickle(
                         "trace", self.fingerprint, self._trace
@@ -201,12 +203,12 @@ class BenchmarkContext:
     def selections(self):
         """Diverge-branch selections (profile run 2 + Section 3.2 rules)."""
         if self._selections is None:
-            profile = self.profile
+            profile, trace = self.profile, self.trace
             t0 = time.perf_counter()
             candidates = candidate_branch_pcs(profile, self.thresholds)
             reconvergence = collect_reconvergence(
                 self.program,
-                self.trace,
+                trace,
                 candidates,
                 max_distance=self.thresholds.max_cfm_distance,
             )
@@ -400,12 +402,13 @@ class BenchmarkContext:
             if stats is not None:
                 return stats
         hints = self.hints_for(config)  # timed as "profile" if first use
+        trace = self.trace  # timed as "interpret" if first use
         warm = self.workload.memory.warm_words()
         self._load_analysis()
         t0 = time.perf_counter()
         stats = simulate(
             self.program,
-            self.trace,
+            trace,
             config,
             hints=hints,
             benchmark=self.name,
@@ -454,6 +457,9 @@ class SuiteTimings:
     jobs: int = 1
     wall_seconds: float = 0.0
     build_seconds: float = 0.0
+    #: Functional interpretation (producing the dynamic trace).
+    interpret_seconds: float = 0.0
+    #: Profiling and diverge/hammock/wish selection.
     profile_seconds: float = 0.0
     #: Aggregate simulation seconds (across workers when parallel, so it
     #: can exceed ``wall_seconds``).
@@ -474,6 +480,7 @@ class SuiteTimings:
         lines = [
             f"timings (jobs={self.jobs}): wall={self.wall_seconds:.2f}s",
             f"  build={self.build_seconds:.2f}s  "
+            f"interpret={self.interpret_seconds:.2f}s  "
             f"profile={self.profile_seconds:.2f}s  "
             f"simulate={self.simulate_seconds:.2f}s (aggregate)",
             f"  simulations: {self.simulations_run} run, "
@@ -567,6 +574,9 @@ def _accumulate_deltas(
 ) -> None:
     for context, (stages, sims, memo, disk) in zip(contexts, before):
         timings.build_seconds += context.stage_seconds["build"] - stages["build"]
+        timings.interpret_seconds += (
+            context.stage_seconds["interpret"] - stages["interpret"]
+        )
         timings.profile_seconds += (
             context.stage_seconds["profile"] - stages["profile"]
         )

@@ -10,13 +10,22 @@ addresses touched.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.cfg.graph import BasicBlock
 
+_TAKEN = attrgetter("taken")
+_BLOCK = attrgetter("block")
+
 
 class BlockExec:
     """One dynamic execution of a basic block.
+
+    Records are values and are never mutated after construction: the
+    interpreter hands every execution of a block that touched no memory
+    the same shared record for its outcome.
 
     Attributes
     ----------
@@ -75,6 +84,25 @@ class Trace:
         loads, stores = block.mem_profile()
         self.load_count += loads
         self.store_count += stores
+
+    @classmethod
+    def from_records(
+        cls, program_name: str, records: List[BlockExec]
+    ) -> "Trace":
+        """A trace over ``records`` (adopted, not copied).  The counters
+        come out exactly as one :meth:`append` per record would leave
+        them, but are summed per distinct block instead of per record."""
+        trace = cls(program_name)
+        trace.records = records
+        outcomes = Counter(map(_TAKEN, records))
+        trace.branch_count = len(records) - outcomes[None]
+        trace.taken_count = outcomes[True]
+        for block, count in Counter(map(_BLOCK, records)).items():
+            loads, stores = block.mem_profile()
+            trace.instruction_count += count * len(block.instructions)
+            trace.load_count += count * loads
+            trace.store_count += count * stores
+        return trace
 
     def __len__(self) -> int:
         return len(self.records)
