@@ -9,9 +9,9 @@ hint sources the paper mentions but does not evaluate:
   a compiler-free diverge-merge processor.
 """
 
+from repro.core.mergepoint import learn_hints_from_trace
 from repro.core.processors import simulate
 from repro.harness.experiment import BenchmarkContext
-from repro.profiling.dynamic_reconvergence import learn_hints_from_trace
 from repro.profiling.static_selection import select_diverge_branches_static
 from repro.uarch.config import MachineConfig
 

@@ -11,15 +11,9 @@ simulator (any engine, any config) of the same program shares them.
 The registry is a ``WeakKeyDictionary`` keyed by the program object and
 the analysis itself only holds a weak reference back, so programs (and
 their analyses) are garbage-collected normally and nothing is dragged
-into pickles shipped to worker processes.
-
-The machine-independent tables (postdominators, reconvergence PCs) are
-also exportable as a plain picklable dict
-(:meth:`export_tables`/:meth:`adopt_tables`) so the harness can persist
-them in the fingerprint-keyed :class:`~repro.harness.cache.ArtifactCache`
-(kind ``"analysis"``) and later processes skip the recomputation
-entirely.  Block plans hold live object references and are always
-rebuilt — they are cheap, unlike the dominator fixpoint.
+into pickles shipped to worker processes.  Nothing is persisted to
+disk: the postdominator tables of all 15 suite benchmarks compute in a
+few milliseconds, about what writing them to the artifact cache cost.
 """
 
 from __future__ import annotations
@@ -28,10 +22,6 @@ import weakref
 from typing import Dict, Optional, Tuple
 
 from repro.cfg.dominators import immediate_postdominators
-
-#: Format tag for exported analysis tables; bump on layout changes so
-#: stale on-disk entries are ignored rather than misread.
-_TABLES_VERSION = 1
 
 _REGISTRY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -44,7 +34,6 @@ class ProgramAnalysis:
         "_plans",
         "_ipostdoms",
         "_reconv_pc",
-        "_dirty",
         "__weakref__",
     )
 
@@ -56,9 +45,6 @@ class ProgramAnalysis:
         self._ipostdoms: Dict[str, Dict[str, Optional[str]]] = {}
         #: ``(function, block_name) -> reconvergence PC or None``
         self._reconv_pc: Dict[Tuple[str, str], Optional[int]] = {}
-        #: True when a table entry was computed (not adopted) since the
-        #: last export — the harness persists only when there is news.
-        self._dirty = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -88,13 +74,6 @@ class ProgramAnalysis:
         if program is None:
             raise RuntimeError("analyzed program has been garbage-collected")
         return program
-
-    @property
-    def dirty(self) -> bool:
-        return self._dirty
-
-    def mark_clean(self) -> None:
-        self._dirty = False
 
     # -- block plans -------------------------------------------------------
 
@@ -142,7 +121,6 @@ class ProgramAnalysis:
         if table is None:
             table = immediate_postdominators(self.program.function(function))
             self._ipostdoms[function] = table
-            self._dirty = True
         return table
 
     def reconvergence_pc(self, function: str, block_name: str) -> Optional[int]:
@@ -158,35 +136,4 @@ class ProgramAnalysis:
             else self.program.function(function).block(ipd).first_pc
         )
         self._reconv_pc[key] = pc
-        self._dirty = True
         return pc
-
-    # -- persistence -------------------------------------------------------
-
-    def export_tables(self) -> Dict:
-        """The machine-independent tables as a plain picklable dict."""
-        return {
-            "version": _TABLES_VERSION,
-            "ipostdoms": {
-                function: dict(table)
-                for function, table in self._ipostdoms.items()
-            },
-            "reconv_pc": dict(self._reconv_pc),
-        }
-
-    def adopt_tables(self, tables) -> bool:
-        """Merge previously exported tables (already-computed entries
-        win).  A malformed payload is ignored — the caller recomputes,
-        mirroring the artifact cache's detect-and-recover contract."""
-        if (
-            not isinstance(tables, dict)
-            or tables.get("version") != _TABLES_VERSION
-            or not isinstance(tables.get("ipostdoms"), dict)
-            or not isinstance(tables.get("reconv_pc"), dict)
-        ):
-            return False
-        for function, table in tables["ipostdoms"].items():
-            self._ipostdoms.setdefault(function, dict(table))
-        for key, pc in tables["reconv_pc"].items():
-            self._reconv_pc.setdefault(key, pc)
-        return True

@@ -10,16 +10,18 @@ at the fidelity this repository needs:
 
 * :class:`MergePointPredictor` — a small tagged table, keyed by branch
   PC with LRU replacement, that observes the retired block/branch
-  stream.  Each entry keeps a bounded candidate set of block-start PCs
-  seen (soon) after both directions of the branch, exactly like the
-  offline learner in :mod:`repro.profiling.dynamic_reconvergence`, plus
-  a saturating confidence counter driven by episode outcomes: a dpred
-  episode whose alternate path reaches the learned point reinforces it,
-  one that provably cannot reach it decays it, and a confidence
-  collapse *retrains* the entry (its candidate statistics are cleared
-  so the point is re-learned from scratch — the table-side half of
-  mispredicted-merge recovery; the pipeline-side half is the ordinary
-  Table 1 case-6 flush).
+  stream through the post-branch observation windows of
+  :mod:`repro.profiling.windows` (the rule profile run 2 uses).  Each
+  entry keeps a bounded candidate set of block-start PCs seen (soon)
+  after both directions of the branch, plus a saturating confidence
+  counter driven by episode outcomes: a dpred episode whose alternate
+  path reaches the learned point reinforces it, one that provably
+  cannot reach it decays it, and a confidence collapse *retrains* the
+  entry (its candidate statistics are cleared so the point is
+  re-learned from scratch — the table-side half of mispredicted-merge
+  recovery; the pipeline-side half is the ordinary Table 1 case-6
+  flush).  :func:`learn_hints_from_trace` runs it offline over a trace
+  prefix and freezes what it learned into a compiler-style hint table.
 
 * :class:`LearnedHintTable` — duck-types the read side of
   :class:`~repro.isa.encoding.HintTable` over a predictor, so
@@ -40,21 +42,39 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.encoding import DivergeHint
+from repro.isa.encoding import DivergeHint, HintTable
+from repro.profiling.windows import ObservationWindows
 
 
 class _MergeEntry:
     """One tagged table entry: the learning state for one static branch."""
 
-    __slots__ = ("seen", "instances", "distance", "confidence", "tick")
+    __slots__ = (
+        "seen", "instances", "distance", "max_candidates", "confidence",
+        "tick",
+    )
 
-    def __init__(self, confidence: int) -> None:
+    def __init__(self, max_candidates: int, confidence: int) -> None:
         #: candidate pc -> [count_after_not_taken, count_after_taken]
         self.seen: Dict[int, List[int]] = {}
         self.instances = [0, 0]
         self.distance: Dict[int, int] = {}
+        self.max_candidates = max_candidates
         self.confidence = confidence
         self.tick = 0
+
+    def record_instance(self, side: int, first_seen: Dict[int, int]) -> None:
+        """One closed observation window (``side`` 1 = taken)."""
+        self.instances[side] += 1
+        seen = self.seen
+        for pc, distance in first_seen.items():
+            counts = seen.get(pc)
+            if counts is None:
+                if len(seen) >= self.max_candidates:
+                    continue  # table full: drop late arrivals
+                counts = seen[pc] = [0, 0]
+                self.distance[pc] = distance
+            counts[side] += 1
 
     def retrain(self, confidence: int) -> None:
         """Confidence collapsed: clear the candidate statistics so the
@@ -69,14 +89,9 @@ class _MergeEntry:
 class MergePointPredictor:
     """Online merge-point learning over the retired stream.
 
-    The observation machinery mirrors
-    :class:`~repro.profiling.dynamic_reconvergence.DynamicReconvergencePredictor`
-    (a window opens when a branch retires and collects the block-start
-    PCs fetched after it, closing when the branch's own block re-executes
-    or the instruction budget runs out); the differences are the
-    hardware-shaped tagged table with LRU replacement and the
-    episode-outcome confidence loop, neither of which the one-shot
-    offline learner needs.
+    Observation windows (:mod:`repro.profiling.windows`) feed a
+    hardware-shaped tagged table with LRU replacement, whose entries
+    carry an episode-outcome confidence loop.
     """
 
     def __init__(
@@ -99,7 +114,7 @@ class MergePointPredictor:
         self.conf_max = conf_max
         self.miss_penalty = miss_penalty
         self._entries: Dict[int, _MergeEntry] = {}
-        self._open: List[list] = []
+        self._windows = ObservationWindows(window_instructions)
         self._tick = 0
         #: Trace position up to which the retired stream has been
         #: observed (see :meth:`observe_to`).
@@ -137,9 +152,10 @@ class MergePointPredictor:
         pos = self.observed_upto
         if upto <= pos:
             return
+        observe_block = self._windows.observe
         for record in records[pos:upto]:
             block = record.block
-            self.observe_block(block.first_pc, len(block.instructions))
+            observe_block(block.first_pc, len(block.instructions))
             if record.taken is not None:
                 self.observe_branch(
                     block.instructions[-1].pc,
@@ -150,24 +166,7 @@ class MergePointPredictor:
 
     def observe_block(self, block_pc: int, block_size: int) -> None:
         """A basic block retired: feed every open observation window."""
-        if not self._open:
-            return
-        still_open = []
-        for window in self._open:
-            entry, side, budget, seen, own_pc, distance = window
-            if block_pc == own_pc:
-                self._close(entry, side, seen)
-                continue
-            if block_pc not in seen:
-                seen[block_pc] = distance
-            budget -= block_size
-            if budget <= 0:
-                self._close(entry, side, seen)
-                continue
-            window[2] = budget
-            window[5] = distance + block_size
-            still_open.append(window)
-        self._open = still_open
+        self._windows.observe(block_pc, block_size)
 
     def observe_branch(
         self, pc: int, taken: bool, block_pc: Optional[int] = None
@@ -183,24 +182,12 @@ class MergePointPredictor:
                 )
                 del self._entries[victim]
                 self.evictions += 1
-            entry = self._entries[pc] = _MergeEntry(self.conf_init)
+            entry = self._entries[pc] = _MergeEntry(
+                self.max_candidates, self.conf_init
+            )
         entry.tick = self._tick
         own = block_pc if block_pc is not None else pc
-        self._open.append(
-            [entry, int(taken), self.window_instructions, {}, own, 0]
-        )
-
-    def _close(self, entry: _MergeEntry, side: int, seen: Dict[int, int]) -> None:
-        entry.instances[side] += 1
-        for pc, distance in seen.items():
-            counts = entry.seen.get(pc)
-            if counts is None:
-                if len(entry.seen) >= self.max_candidates:
-                    continue  # table full: drop late arrivals
-                counts = [0, 0]
-                entry.seen[pc] = counts
-                entry.distance[pc] = distance
-            counts[side] += 1
+        self._windows.open(entry, int(taken), own)
 
     # -- queries (side-effect-free) ------------------------------------
 
@@ -253,6 +240,25 @@ class MergePointPredictor:
             self.retrains += 1
             return True
         return False
+
+
+def learn_hints_from_trace(trace, warmup_fraction: float = 0.25) -> HintTable:
+    """The hint table a compiler-free DMP would operate with: train a
+    default :class:`MergePointPredictor` on the first ``warmup_fraction``
+    of the trace, freeze it, and hint each learned branch at its closest
+    merge point.
+
+    The rest of the trace is what a timing simulation then measures; in
+    real hardware learning continues, so this is conservative.
+    """
+    predictor = MergePointPredictor()
+    predictor.observe_to(
+        trace.records, int(len(trace.records) * warmup_fraction)
+    )
+    table = HintTable()
+    for pc in predictor.trained_branches():
+        table.add(pc, DivergeHint(predictor.predict(pc)[:1]))
+    return table
 
 
 class LearnedHintTable:

@@ -52,23 +52,3 @@ class ExitCase(enum.IntEnum):
             ExitCase.CONTINUE_ALTERNATE,
         )
 
-
-def classify_exit(
-    predicted_reached_cfm: bool,
-    alternate_reached_cfm: bool,
-    mispredicted: bool,
-) -> ExitCase:
-    """Map path outcomes and branch correctness to a Table 1 exit case."""
-    if not predicted_reached_cfm:
-        return ExitCase.FLUSH if mispredicted else ExitCase.CONTINUE_PREDICTED
-    if alternate_reached_cfm:
-        return (
-            ExitCase.NORMAL_MISPREDICTED
-            if mispredicted
-            else ExitCase.NORMAL_CORRECT
-        )
-    return (
-        ExitCase.CONTINUE_ALTERNATE
-        if mispredicted
-        else ExitCase.REDIRECT_TO_CFM
-    )

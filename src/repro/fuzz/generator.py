@@ -23,7 +23,7 @@ merges) has to survive but the 15 benchmarks never stress:
                    bodies that all rejoin (switch lowering)
 ``multiexit_loop`` bounded loop with a second, data-dependent break exit
                    (two loop exits, one loop-carried diverge branch)
-``loop``           plain counted inner loop (1..``trips`` trips)
+``loop``           plain counted inner loop (see ``FuzzGadget.trips``)
 ``call``           hammock with a helper-function call on one arm
 ``mem``            dependent load/store over a drawn footprint
 ``fp``             floating-point dependency chain
@@ -39,10 +39,10 @@ ever edits the spec and rebuilds.
 
 Termination is guaranteed by construction: the single outer loop runs
 ``iterations`` times and every inner loop is bounded by a counter
-derived from a loaded data value (1..``trips``).  Branch entropy comes
-from the same seeded behaviour arrays the workload suite uses
-(:mod:`repro.workloads.behaviors`), so branch predictability is a
-drawable knob.
+derived from a loaded data value (1 up to the smallest power of two
+above ``trips``).  Branch entropy comes from the same seeded behaviour
+arrays the workload suite uses (:mod:`repro.workloads.behaviors`), so
+branch predictability is a drawable knob.
 
 Register conventions follow the workload generator: ``r3`` is the outer
 loop index, ``r4``–``r8`` per-gadget data values, ``r10``–``r12`` inner
@@ -117,7 +117,9 @@ class FuzzGadget:
     depth: int = 2
     #: Ladder arms for ``dispatch``.
     arms: int = 3
-    #: Inner-loop trip bound (1..trips) for loop kinds.
+    #: Inner-loop trip knob for loop kinds: each entry runs 1 up to the
+    #: smallest power of two above ``trips`` iterations (``trips`` 1, 2,
+    #: 3, 4 allow up to 2, 4, 4, 8).
     trips: int = 3
     #: Word footprint of ``mem``.
     footprint: int = 1 << 10
@@ -506,7 +508,13 @@ class _FuzzBuilder:
 
 
 def _trip_mask(trips: int) -> int:
-    """Smallest ``2^k - 1`` mask covering ``0..trips-1``."""
+    """Smallest ``2^k - 1`` mask ``>= trips``.
+
+    A loop masks a data value with it and adds one, so it runs
+    ``1..mask + 1`` times.  That allows more trips than ``trips`` (the
+    mask of ``trips=1`` is 1, not 0); tightening it would rebuild every
+    committed loop program, so it stays.
+    """
     mask = 1
     while mask < trips:
         mask = (mask << 1) | 1

@@ -26,7 +26,6 @@ import os
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.cfg.analysis import ProgramAnalysis
 from repro.core.processors import simulate
 from repro.errors import HintValidationError, ReproError
 from repro.harness.cache import ArtifactCache, CacheCounters
@@ -88,7 +87,6 @@ class BenchmarkContext:
         self._hammock_hints: Optional[HintTable] = None
         self._wish_hints: Optional[HintTable] = None
         self._sim_cache: Dict[str, SimStats] = {}
-        self._analysis_loaded = False
         #: Wall-clock seconds spent in each stage *by this process*.  The
         #: stages are disjoint: each timer starts only after the artifacts
         #: it consumes are resolved, so they sum to at most wall clock.
@@ -360,32 +358,6 @@ class BenchmarkContext:
         if self._cache is not None:
             self._cache.store_pickle("sim", f"{self.fingerprint}-{key}", stats)
 
-    def _load_analysis(self) -> None:
-        """Adopt persisted static-analysis tables (postdominators,
-        reconvergence PCs) for this program, once per context.  Plans
-        are rebuilt locally — they hold live object references."""
-        if self._analysis_loaded:
-            return
-        self._analysis_loaded = True
-        if self._cache is None:
-            return
-        tables = self._cache.load_pickle("analysis", self.fingerprint)
-        if tables is not None:
-            analysis = ProgramAnalysis.of(self.program)
-            if analysis.adopt_tables(tables):
-                analysis.mark_clean()
-
-    def _store_analysis(self) -> None:
-        """Persist analysis tables computed by the run just finished."""
-        if self._cache is None:
-            return
-        analysis = ProgramAnalysis.of(self.program)
-        if analysis.dirty:
-            self._cache.store_pickle(
-                "analysis", self.fingerprint, analysis.export_tables()
-            )
-            analysis.mark_clean()
-
     def simulate(self, config: MachineConfig, tracer=None) -> SimStats:
         """Simulate under one configuration (memoized: the same config is
         returned from cache, so figure drivers can share runs).
@@ -404,7 +376,6 @@ class BenchmarkContext:
         hints = self.hints_for(config)  # timed as "profile" if first use
         trace = self.trace  # timed as "interpret" if first use
         warm = self.workload.memory.warm_words()
-        self._load_analysis()
         t0 = time.perf_counter()
         stats = simulate(
             self.program,
@@ -417,7 +388,6 @@ class BenchmarkContext:
         )
         self._timed("simulate", t0)
         self.sims_run += 1
-        self._store_analysis()
         self.store_stats(config, stats)
         return stats
 
@@ -686,7 +656,6 @@ def _execute_batch(
                 continue
             hints = context.hints_for(effective)
             warm = context.workload.memory.warm_words()
-            context._load_analysis()
             cells.append(BatchCell(
                 context.program, context.trace, effective, hints=hints,
                 benchmark=context.name, warm_words=warm,
@@ -712,7 +681,6 @@ def _execute_batch(
     for (context, label, effective), stats in zip(meta, stats_list):
         context.stage_seconds["simulate"] += per_cell
         context.sims_run += 1
-        context._store_analysis()
         context.store_stats(effective, stats)
         result.add(context.name, label, stats)
         if verbose:

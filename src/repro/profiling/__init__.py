@@ -6,6 +6,10 @@ two profile runs (Section 3.2).  This package reproduces that pipeline:
 * :mod:`repro.profiling.profiler` — replay the functional trace to collect
   edge profiles and per-branch misprediction counts (profile run 1), and
   the per-branch reconvergence statistics (profile run 2);
+* :mod:`repro.profiling.windows` — the post-branch observation window
+  rule behind profile run 2, shared with the hint-free machine's
+  run-time learner (:mod:`repro.core.mergepoint`, which also derives
+  hint tables offline via ``learn_hints_from_trace``);
 * :mod:`repro.profiling.hammock` — static detection of *simple hammocks*
   (if / if-else with no other control flow inside), the only shapes DHP
   can predicate;
@@ -36,10 +40,6 @@ from repro.profiling.loop_selection import (
     select_diverge_loop_branches,
 )
 from repro.profiling.static_selection import select_diverge_branches_static
-from repro.profiling.dynamic_reconvergence import (
-    DynamicReconvergencePredictor,
-    learn_hints_from_trace,
-)
 
 __all__ = [
     "BranchStats",
@@ -56,6 +56,4 @@ __all__ = [
     "merge_hint_tables",
     "select_diverge_loop_branches",
     "select_diverge_branches_static",
-    "DynamicReconvergencePredictor",
-    "learn_hints_from_trace",
 ]

@@ -18,7 +18,7 @@ immediate post-dominator.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.cfg.graph import BasicBlock, ControlFlowGraph
 from repro.isa.encoding import DivergeHint, HintTable
@@ -103,12 +103,3 @@ def find_simple_hammocks(
             table.add(instr.pc, DivergeHint((merge_pc,)))
     return table
 
-
-def hammock_branch_pcs(program: Program) -> Tuple[int, ...]:
-    """PCs of every simple-hammock branch (used by the Figure 6 analysis)."""
-    pcs = []
-    for cfg in program.functions():
-        for block_name, instr in cfg.conditional_branches():
-            if classify_hammock(cfg, block_name) is not None:
-                pcs.append(instr.pc)
-    return tuple(pcs)

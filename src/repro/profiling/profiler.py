@@ -15,10 +15,11 @@ Two passes mirror the paper's two profile runs:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.branch import make_predictor
 from repro.cfg.paths import EdgeProfile
+from repro.profiling.windows import ObservationWindows
 from repro.program.program import Program
 from repro.program.trace import Trace
 
@@ -140,10 +141,9 @@ class ReconvergenceStats:
         self.seen_count = [defaultdict(int), defaultdict(int)]
         self.distance_sum = [defaultdict(int), defaultdict(int)]
 
-    def record_instance(
-        self, taken: bool, first_seen: Dict[int, int]
-    ) -> None:
-        side = int(taken)
+    def record_instance(self, side: int, first_seen: Dict[int, int]) -> None:
+        """One closed observation window (``side`` 1 = taken); see
+        :mod:`repro.profiling.windows`."""
         self.instances[side] += 1
         seen = self.seen_count[side]
         dist = self.distance_sum[side]
@@ -167,20 +167,6 @@ class ReconvergenceStats:
     def common_pcs(self) -> Iterable[int]:
         """PCs observed after both directions at least once."""
         return set(self.seen_count[0]) & set(self.seen_count[1])
-
-
-class _Window:
-    __slots__ = (
-        "stats", "taken", "budget", "first_seen", "own_pc", "allow_loop"
-    )
-
-    def __init__(self, stats, taken, budget, own_pc, allow_loop=False):
-        self.stats = stats
-        self.taken = taken
-        self.budget = budget
-        self.first_seen: Dict[int, int] = {}
-        self.own_pc = own_pc
-        self.allow_loop = allow_loop
 
 
 def collect_reconvergence(
@@ -207,45 +193,15 @@ def collect_reconvergence(
         pc: ReconvergenceStats(pc) for pc in candidates
     }
     sampled: Dict[int, int] = {pc: 0 for pc in candidates}
-    open_windows: List[_Window] = []
+    windows = ObservationWindows(max_distance, allow_loop_carried)
+    observe = windows.observe
     for record in trace:
         block = record.block
-        block_pc = block.first_pc
-        size = len(block.instructions)
-        if open_windows:
-            closed = False
-            for window in open_windows:
-                if block_pc == window.own_pc and not window.allow_loop:
-                    # The branch itself re-executed before reconverging:
-                    # any later "merge" would be loop-carried, and the
-                    # paper's mainline compiler excludes loop diverge
-                    # branches (Section 2.7.4 treats them as future work).
-                    window.budget = 0
-                else:
-                    distance = max_distance - window.budget
-                    if block_pc not in window.first_seen:
-                        window.first_seen[block_pc] = distance
-                    window.budget -= size
-                if window.budget <= 0:
-                    window.stats.record_instance(
-                        window.taken, window.first_seen
-                    )
-                    closed = True
-            if closed:
-                open_windows = [w for w in open_windows if w.budget > 0]
+        observe(block.first_pc, len(block.instructions))
         if record.taken is not None:
             pc = block.instructions[-1].pc
             if pc in candidates and sampled[pc] < max_instances_per_branch:
                 sampled[pc] += 1
-                open_windows.append(
-                    _Window(
-                        stats[pc],
-                        record.taken,
-                        max_distance,
-                        block_pc,
-                        allow_loop=allow_loop_carried,
-                    )
-                )
-    for window in open_windows:  # flush windows cut off by program end
-        window.stats.record_instance(window.taken, window.first_seen)
+                windows.open(stats[pc], int(record.taken), block.first_pc)
+    windows.flush()  # windows cut off by program end
     return stats

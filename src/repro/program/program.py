@@ -99,13 +99,6 @@ class Program:
     def instruction_count(self) -> int:
         return sum(cfg.instruction_count() for cfg in self._functions.values())
 
-    def static_conditional_branches(self) -> Iterator[Tuple[str, str, Instruction]]:
-        """Yield ``(function, block, instruction)`` for every static BR."""
-        self._require_sealed()
-        for cfg in self._functions.values():
-            for block_name, instr in cfg.conditional_branches():
-                yield cfg.name, block_name, instr
-
     def _require_sealed(self) -> None:
         if not self._sealed:
             raise RuntimeError("program must be sealed first")

@@ -2,8 +2,7 @@
 
 This package provides everything *around* the diverge-merge mechanism: the
 machine configuration mirroring Table 2 (:mod:`~repro.uarch.config`), the
-extra uops DMP inserts (:mod:`~repro.uarch.uops`), the register alias table
-with checkpoints and M bits (:mod:`~repro.uarch.rat`), the predicate-aware
+register alias table with checkpoints and M bits (:mod:`~repro.uarch.rat`), the predicate-aware
 store buffer (:mod:`~repro.uarch.storebuffer`), pre-decoded block
 execution plans for the fast engine (:mod:`~repro.uarch.plan`),
 fetch-stream helpers
@@ -15,7 +14,6 @@ fetch-stream helpers
 from repro.uarch.config import MachineConfig
 from repro.uarch.plan import BlockPlan, build_block_plan
 from repro.uarch.stats import SimStats
-from repro.uarch.uops import UopKind
 from repro.uarch.rat import RegisterAliasTable
 from repro.uarch.storebuffer import StoreBuffer, ForwardDecision
 from repro.uarch.timing import TimingSimulator
@@ -25,7 +23,6 @@ __all__ = [
     "BlockPlan",
     "build_block_plan",
     "SimStats",
-    "UopKind",
     "RegisterAliasTable",
     "StoreBuffer",
     "ForwardDecision",

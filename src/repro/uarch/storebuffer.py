@@ -2,8 +2,10 @@
 
 Dynamically predicated stores sit in the store buffer with their predicate
 register id and are not released to the memory system until the predicate
-resolves; a resolved-FALSE store is dropped.  Store-to-load forwarding
-follows the paper's three rules — a load may forward from:
+resolves; a resolved-FALSE store is dropped.  The trace-driven timing model
+knows each predicate's value and ready cycle when it inserts the store, so
+resolution is implicit: once the ready cycle passes, the value is visible
+to forwarding.  Store-to-load forwarding follows the paper's three rules — a load may forward from:
 
 1. a non-predicated store;
 2. a predicated store whose predicate value is already resolved (and TRUE
@@ -137,39 +139,6 @@ class StoreBuffer:
             return True
         return current_cycle >= entry.predicate_ready_cycle
 
-    def resolve_predicate(self, predicate_id: int, value: bool) -> int:
-        """Broadcast a resolved predicate value to all matching stores.
-
-        Resolved-FALSE stores are dropped (never sent to memory).  Returns
-        the number of entries affected.
-        """
-        affected = 0
-        dropped = False
-        kept = deque()
-        for entry in self._entries:
-            if entry.predicate_id == predicate_id:
-                entry.predicate_value = value
-                entry.predicate_ready_cycle = None  # visible immediately
-                affected += 1
-                if not value:
-                    dropped = True
-                    continue  # dropped
-            kept.append(entry)
-        self._entries = kept
-        if dropped:
-            self._rebuild_index()
-        return affected
-
-    def _rebuild_index(self) -> None:
-        by_addr: Dict[int, List[StoreEntry]] = {}
-        for entry in self._entries:
-            bucket = by_addr.get(entry.address)
-            if bucket is None:
-                by_addr[entry.address] = [entry]
-            else:
-                bucket.append(entry)
-        self._by_addr = by_addr
-
     def lookup(
         self,
         address: int,
@@ -207,22 +176,3 @@ class StoreBuffer:
                 ForwardDecision.WAIT, entry, wait_until=wait_until
             )
         return ForwardResult(ForwardDecision.MEMORY)
-
-    def drain_resolved(self, up_to_cycle: int) -> int:
-        """Remove entries whose data and predicate are resolved by the given
-        cycle (they have been written to the caches).  Returns the count."""
-        kept = deque()
-        drained = 0
-        for entry in self._entries:
-            data_done = entry.data_ready_cycle <= up_to_cycle
-            pred_done = not entry.is_predicated or self._is_resolved(
-                entry, up_to_cycle
-            )
-            if data_done and pred_done:
-                drained += 1
-            else:
-                kept.append(entry)
-        self._entries = kept
-        if drained:
-            self._rebuild_index()
-        return drained

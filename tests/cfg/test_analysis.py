@@ -59,54 +59,3 @@ class TestMemoization:
                     expected
                 )
 
-
-class TestPersistence:
-    def test_export_adopt_round_trip(self):
-        program = _program()
-        analysis = ProgramAnalysis.of(program)
-        for cfg in program.functions():
-            for block in cfg:
-                analysis.reconvergence_pc(cfg.name, block.name)
-        tables = analysis.export_tables()
-
-        other = ProgramAnalysis(_program())
-        assert other.adopt_tables(tables)
-        assert other._ipostdoms == analysis._ipostdoms
-        assert other._reconv_pc == analysis._reconv_pc
-        # Adopted entries are not "news": nothing to persist.
-        assert not other.dirty
-
-    def test_dirty_tracks_fresh_computation(self):
-        program = _program()
-        analysis = ProgramAnalysis.of(program)
-        assert not analysis.dirty
-        cfg = next(program.functions())
-        analysis.ipostdoms(cfg.name)
-        assert analysis.dirty
-        analysis.mark_clean()
-        assert not analysis.dirty
-        # Memoized lookups stay clean.
-        analysis.ipostdoms(cfg.name)
-        assert not analysis.dirty
-
-    def test_adopt_rejects_malformed_payloads(self):
-        analysis = ProgramAnalysis(_program())
-        assert not analysis.adopt_tables(None)
-        assert not analysis.adopt_tables({"version": -1})
-        assert not analysis.adopt_tables(
-            {"version": 1, "ipostdoms": [], "reconv_pc": {}}
-        )
-        assert not analysis._ipostdoms
-
-    def test_adopted_entries_do_not_clobber_computed(self):
-        program = _program()
-        analysis = ProgramAnalysis.of(program)
-        cfg = next(program.functions())
-        table = analysis.ipostdoms(cfg.name)
-        bogus = {
-            "version": 1,
-            "ipostdoms": {cfg.name: {"nonsense": None}},
-            "reconv_pc": {},
-        }
-        assert analysis.adopt_tables(bogus)
-        assert analysis.ipostdoms(cfg.name) is table

@@ -1,43 +1,13 @@
-"""Unit tests for exit-case classification (Table 1) and the CFM CAM."""
+"""Unit tests for the Table 1 exit cases and the CFM CAM."""
 
 import pytest
 
 from repro.core.cfm import CfmCam
-from repro.core.modes import ExitCase, classify_exit
+from repro.core.modes import ExitCase
 
 
-class TestClassifyExit:
-    """Each row of Table 1."""
-
-    def test_case1(self):
-        assert classify_exit(True, True, mispredicted=False) == (
-            ExitCase.NORMAL_CORRECT
-        )
-
-    def test_case2(self):
-        assert classify_exit(True, True, mispredicted=True) == (
-            ExitCase.NORMAL_MISPREDICTED
-        )
-
-    def test_case3(self):
-        assert classify_exit(True, False, mispredicted=False) == (
-            ExitCase.REDIRECT_TO_CFM
-        )
-
-    def test_case4(self):
-        assert classify_exit(True, False, mispredicted=True) == (
-            ExitCase.CONTINUE_ALTERNATE
-        )
-
-    def test_case5(self):
-        assert classify_exit(False, False, mispredicted=False) == (
-            ExitCase.CONTINUE_PREDICTED
-        )
-
-    def test_case6(self):
-        assert classify_exit(False, False, mispredicted=True) == (
-            ExitCase.FLUSH
-        )
+class TestExitCase:
+    """Properties of Table 1's rows."""
 
     def test_only_case6_flushes(self):
         flushing = [case for case in ExitCase if case.flushes_pipeline]

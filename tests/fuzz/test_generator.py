@@ -11,6 +11,7 @@ from repro.fuzz import (
     draw_spec,
     static_instruction_count,
 )
+from repro.fuzz.generator import _trip_mask
 from repro.program.interpreter import ExecutionLimitExceeded
 
 
@@ -123,6 +124,11 @@ class TestGnarlyShapes:
     def test_multiexit_loop_has_two_exits(self):
         blocks = self._blocks("multiexit_loop")
         assert "g0_X" in blocks and "g0_X2" in blocks
+
+    def test_trip_masks_are_pinned(self):
+        # Loops run 1..mask+1 times: trips 1, 2, 3, 4 allow up to 2, 4,
+        # 4 and 8 trips.  Pinned: the masks shape every loop program.
+        assert tuple(_trip_mask(t) for t in (1, 2, 3, 4)) == (1, 3, 3, 7)
 
 
 class TestDeterminism:

@@ -3,11 +3,8 @@
 import random
 
 from repro.cfg.builder import CFGBuilder
+from repro.core.mergepoint import MergePointPredictor, learn_hints_from_trace
 from repro.isa.instructions import Condition
-from repro.profiling.dynamic_reconvergence import (
-    DynamicReconvergencePredictor,
-    learn_hints_from_trace,
-)
 from repro.profiling.profiler import profile_trace
 from repro.profiling.static_selection import select_diverge_branches_static
 from repro.program.interpreter import Interpreter
@@ -106,19 +103,14 @@ class TestStaticSelection:
         assert len(static) >= 1
 
 
-class TestDynamicReconvergence:
+class TestOfflineLearning:
+    """The merge-point predictor run offline over a whole trace."""
+
     def _trained_predictor(self, values):
         program, memory = hammock_loop_program(values)
         trace = Interpreter(program, memory=memory).run()
-        predictor = DynamicReconvergencePredictor(min_instances=8)
-        for record in trace:
-            block = record.block
-            predictor.observe_block(block.first_pc, len(block.instructions))
-            if record.taken is not None:
-                predictor.observe_branch(
-                    block.instructions[-1].pc, record.taken,
-                    block_pc=block.first_pc,
-                )
+        predictor = MergePointPredictor(min_instances=8)
+        predictor.observe_to(trace.records, len(trace.records))
         return program, predictor
 
     def test_learns_hammock_merge(self):
@@ -127,7 +119,9 @@ class TestDynamicReconvergence:
         program, predictor = self._trained_predictor(values)
         cfg = program.entry_function
         branch_pc = cfg.block("body").instructions[-1].pc
-        assert predictor.predict(branch_pc) == cfg.block("merge").first_pc
+        # Every later block on the way back to the loop head also merges;
+        # the closest one is the hammock's own merge block.
+        assert predictor.predict(branch_pc)[0] == cfg.block("merge").first_pc
 
     def test_loop_head_learns_nothing_loop_carried(self):
         rng = random.Random(2)
@@ -136,11 +130,11 @@ class TestDynamicReconvergence:
         head_pc = program.entry_function.block("head").instructions[-1].pc
         # The head's window closes at its own re-execution, and the taken
         # (exit) side fires once: not enough instances on both sides.
-        assert predictor.predict(head_pc) is None
+        assert predictor.predict(head_pc) == ()
 
-    def test_untrained_branch_returns_none(self):
-        predictor = DynamicReconvergencePredictor()
-        assert predictor.predict(0x1234) is None
+    def test_untrained_branch_predicts_nothing(self):
+        predictor = MergePointPredictor()
+        assert predictor.predict(0x1234) == ()
 
     def test_learn_hints_from_trace(self):
         rng = random.Random(2)

@@ -5,7 +5,6 @@ from repro.isa.instructions import Condition
 from repro.profiling.hammock import (
     classify_hammock,
     find_simple_hammocks,
-    hammock_branch_pcs,
 )
 from repro.program.program import Program
 
@@ -97,7 +96,3 @@ class TestFindSimpleHammocks:
         outer_pc = cfg.block("A").instructions[-1].pc
         assert table.is_diverge_branch(inner_pc)
         assert not table.is_diverge_branch(outer_pc)
-
-    def test_pcs_helper(self):
-        program = build(if_else_cfg())
-        assert len(hammock_branch_pcs(program)) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfg.builder import CFGBuilder
-from repro.isa.instructions import INSTRUCTION_BYTES, Condition
+from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.program.program import ENTRY_FUNCTION, Program
 
 
@@ -117,16 +117,3 @@ class TestQueries:
     def test_instruction_count(self):
         program = two_function_program()
         assert program.instruction_count() == 5
-
-    def test_static_conditional_branches(self):
-        b = CFGBuilder("main")
-        b.block("a").br(Condition.EQ, 1, imm=0, taken="c")
-        b.block("b").nop()
-        b.block("c").halt()
-        program = Program("p")
-        program.add_function(b.build())
-        program.seal()
-        branches = list(program.static_conditional_branches())
-        assert len(branches) == 1
-        assert branches[0][0] == "main"
-        assert branches[0][1] == "a"

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.branch.base import GlobalHistory
 from repro.branch.perceptron import PerceptronPredictor
 from repro.confidence.jrs import JRSConfidenceEstimator
-from repro.core.modes import ExitCase, classify_exit
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.program.interpreter import Interpreter
 from repro.uarch.config import MachineConfig
@@ -142,22 +141,6 @@ def test_storebuffer_capacity_respected(ops):
         if kind != "load":
             sb.insert(address, seq, data_ready_cycle=seq)
         assert len(sb) <= 8
-
-
-# ---------------------------------------------------------------------------
-# Exit-case classification totality
-# ---------------------------------------------------------------------------
-
-@given(st.booleans(), st.booleans(), st.booleans())
-def test_exit_classification_total_and_consistent(pred_cfm, alt_cfm, misp):
-    case = classify_exit(pred_cfm, alt_cfm, misp)
-    assert case in ExitCase
-    # A flush can only happen on a misprediction.
-    if case.flushes_pipeline:
-        assert misp
-    # A saved misprediction requires an actual misprediction.
-    if case.saves_misprediction:
-        assert misp
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Unit tests for MachineConfig and the uop definitions."""
+"""Unit tests for MachineConfig."""
 
 import pytest
 
 from repro.uarch.config import MachineConfig
-from repro.uarch.uops import Uop, UopKind
 
 
 class TestMachineConfig:
@@ -91,18 +90,3 @@ class TestMachineConfig:
         config = MachineConfig.dualpath()
         assert config.confidence_args.get("threshold", "missing") is None
 
-
-class TestUops:
-    def test_kinds_named_like_paper(self):
-        assert UopKind.ENTER_PRED_PATH.value == "enter.pred.path"
-        assert UopKind.ENTER_ALT_PATH.value == "enter.alternate.path"
-        assert UopKind.EXIT_PRED.value == "exit.pred"
-
-    def test_select_requires_destination(self):
-        with pytest.raises(ValueError):
-            Uop(UopKind.SELECT)
-        uop = Uop(UopKind.SELECT, dest_arch=3, pred_tag=10, alt_tag=20)
-        assert "r3" in repr(uop)
-
-    def test_marker_uops(self):
-        assert "enter.pred.path" in repr(Uop(UopKind.ENTER_PRED_PATH))

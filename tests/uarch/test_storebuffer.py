@@ -60,25 +60,6 @@ class TestRule2ResolvedPredicates:
         assert result.decision == ForwardDecision.FORWARD
         assert result.entry.seq == 1  # fell through to the older store
 
-    def test_explicit_resolution_broadcast(self):
-        sb = make_buffer()
-        sb.insert(
-            address=100, seq=1, data_ready_cycle=10,
-            predicate_id=7, predicate_ready_cycle=50,
-        )
-        sb.resolve_predicate(7, True)
-        result = sb.lookup(address=100, load_seq=2, current_cycle=0)
-        assert result.decision == ForwardDecision.FORWARD
-
-    def test_resolve_false_drops_entry(self):
-        sb = make_buffer()
-        sb.insert(
-            address=100, seq=1, data_ready_cycle=10,
-            predicate_id=7, predicate_ready_cycle=50,
-        )
-        assert sb.resolve_predicate(7, False) == 1
-        assert len(sb) == 0
-
 
 class TestRule3UnresolvedPredicates:
     def test_same_predicate_id_forwards(self):
@@ -134,13 +115,3 @@ class TestBufferMechanics:
         assert sb.lookup(address=1, load_seq=9).decision == (
             ForwardDecision.MEMORY
         )
-
-    def test_drain_resolved(self):
-        sb = make_buffer()
-        sb.insert(address=1, seq=1, data_ready_cycle=5)
-        sb.insert(
-            address=2, seq=2, data_ready_cycle=5,
-            predicate_id=1, predicate_ready_cycle=100, predicate_value=True,
-        )
-        assert sb.drain_resolved(up_to_cycle=50) == 1  # only the plain store
-        assert len(sb) == 1
