@@ -24,9 +24,6 @@ class BranchTargetBuffer:
         self.hits = 0
         self.misses = 0
 
-    def _set_index(self, pc: int) -> int:
-        return (pc >> 2) % self.num_sets
-
     def lookup(self, pc: int) -> Optional[int]:
         """Return the cached target for ``pc``, updating LRU state."""
         entry_set = self._sets[(pc >> 2) % self.num_sets]

@@ -36,7 +36,3 @@ class PerfectPredictor(BranchPredictor):
 
     def train(self, prediction: Prediction, actual: bool) -> None:
         return  # nothing to learn
-
-    @property
-    def is_perfect(self) -> bool:
-        return True

@@ -394,7 +394,7 @@ def cmd_bench(args) -> int:
             print(f"episode gangs: {gangs['gangs']} gangs covering "
                   f"{lanes} lanes ({share:.0f}% of episode lanes, "
                   f"max gang {gangs.get('max_gang', 0)}); "
-                  f"{singles} singletons ran scalar")
+                  f"{singles} singletons ran as gangs of one")
     output = args.output
     if not output:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")

@@ -37,7 +37,7 @@ drop them anyway).  These substitutions are documented in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.confidence.perfect import PerfectConfidenceEstimator
 from repro.branch.perfect import PerfectPredictor
@@ -964,8 +964,6 @@ class PredicationAwareSimulator(TimingSimulator):
             ExitCase.NORMAL_MISPREDICTED if saved_any
             else ExitCase.NORMAL_CORRECT
         )
-        if saved_any:
-            pass  # the eliminated misprediction was already counted
 
     # ------------------------------------------------------------------
     # Predicated path fetching

@@ -70,16 +70,15 @@ _ENGINES = ("reference", "fast")
 
 #: The ganged-episode band: one fuzz program fanned across machine
 #: sizings as a *single* batch-engine group.  Deliberately not part of
-#: :data:`FUZZ_MODES` — single-cell groups can only exercise the
-#: engine's singleton episode path, and hardened cells take the scalar
-#: fallback entirely — so the unhardened batch sweep opts in with
-#: ``modes=FUZZ_MODES + (GANG_MODE,)``.
+#: :data:`FUZZ_MODES` — single-cell groups only ever form gangs of
+#: one, and hardened cells take the scalar fallback entirely — so the
+#: unhardened batch sweep opts in with ``modes=FUZZ_MODES + (GANG_MODE,)``.
 GANG_MODE = "dmp-gang"
 
 #: Machine sizings fanned per spec for the gang band.  Every lane
 #: shares the spec's program and trace, so each dpred episode is
 #: entered by the whole group at the same record with the same
-#: (trace, signature) key — many-lane gangs, not singleton replays.
+#: (trace, signature) key — many-lane gangs, not gangs of one.
 GANG_SIZINGS = tuple(
     (width, depth, rob, retire)
     for width in (4, 8)
@@ -275,11 +274,10 @@ def _check_gang(ctx: FuzzProgram, spec: FuzzSpec) -> List[Finding]:
 
     All lanes carry the same program, trace and diverge hints, so every
     dpred episode is reached by the whole group at the same trace record
-    and the engine's ganged (trace, signature) kernels — not the
-    singleton path — produce the timing.  Each lane's SimStats is then
-    diffed against a reference-engine run of the same sizing.  Without
-    numpy the engine has no vector path to gang and the band is a
-    no-op."""
+    and the engine's (trace, signature) gangs span many lanes, not
+    one.  Each lane's SimStats is then diffed against a
+    reference-engine run of the same sizing.  Without numpy the engine
+    has no vector path to gang and the band is a no-op."""
     from repro.uarch.batch import BatchCell, batch_supported, run_batch
 
     if not batch_supported():

@@ -52,6 +52,10 @@ from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
 #: Cache kinds for the three hint-table flavours, by machine mode.
 _HINT_KINDS = {"dmp": "hints-dmp", "dhp": "hints-dhp", "wish": "hints-wish"}
 
+#: Timed stages of a context, in pipeline order; each has a
+#: ``SuiteTimings.<stage>_seconds`` field.
+_STAGES = ("build", "interpret", "profile", "select", "simulate")
+
 
 class BenchmarkContext:
     """One benchmark's machine-independent artifacts, lazily built.
@@ -90,9 +94,7 @@ class BenchmarkContext:
         #: Wall-clock seconds spent in each stage *by this process*.  The
         #: stages are disjoint: each timer starts only after the artifacts
         #: it consumes are resolved, so they sum to at most wall clock.
-        self.stage_seconds: Dict[str, float] = {
-            "build": 0.0, "interpret": 0.0, "profile": 0.0, "simulate": 0.0,
-        }
+        self.stage_seconds: Dict[str, float] = dict.fromkeys(_STAGES, 0.0)
         self.sims_run = 0        # timing simulations actually executed
         self.sim_memo_hits = 0   # served from the in-memory memo
         self.sim_cache_hits = 0  # served from the on-disk cache
@@ -213,7 +215,7 @@ class BenchmarkContext:
             self._selections = select_diverge_branches(
                 profile, reconvergence, self.thresholds
             )
-            self._timed("profile", t0)
+            self._timed("select", t0)
         return self._selections
 
     def _cached_hint_table(self, kind: str) -> Optional[HintTable]:
@@ -253,7 +255,7 @@ class BenchmarkContext:
                     selections, self.thresholds, multiple_cfm=True
                 )
                 check_hint_table(self.program, table)
-                self._timed("profile", t0)
+                self._timed("select", t0)
                 self._store_hint_table(_HINT_KINDS["dmp"], table)
             self._diverge_hints = table
         return self._diverge_hints
@@ -274,7 +276,7 @@ class BenchmarkContext:
                     min_misprediction_rate=self.thresholds.min_misprediction_rate,
                 )
                 check_hint_table(self.program, table)
-                self._timed("profile", t0)
+                self._timed("select", t0)
                 self._store_hint_table(_HINT_KINDS["dhp"], table)
             self._hammock_hints = table
         return self._hammock_hints
@@ -296,7 +298,7 @@ class BenchmarkContext:
                     min_misprediction_rate=self.thresholds.min_misprediction_rate,
                 )
                 check_hint_table(self.program, table)
-                self._timed("profile", t0)
+                self._timed("select", t0)
                 self._store_hint_table(_HINT_KINDS["wish"], table)
             self._wish_hints = table
         return self._wish_hints
@@ -373,7 +375,7 @@ class BenchmarkContext:
             stats = self.cached_stats(config)
             if stats is not None:
                 return stats
-        hints = self.hints_for(config)  # timed as "profile" if first use
+        hints = self.hints_for(config)  # timed as "select" if first use
         trace = self.trace  # timed as "interpret" if first use
         warm = self.workload.memory.warm_words()
         t0 = time.perf_counter()
@@ -429,8 +431,11 @@ class SuiteTimings:
     build_seconds: float = 0.0
     #: Functional interpretation (producing the dynamic trace).
     interpret_seconds: float = 0.0
-    #: Profiling and diverge/hammock/wish selection.
+    #: Profile run 1 (edge counts + mispredictions).
     profile_seconds: float = 0.0
+    #: Diverge selection (profile run 2 + Section 3.2 rules) and the
+    #: dmp/dhp/wish hint-table builds.
+    select_seconds: float = 0.0
     #: Aggregate simulation seconds (across workers when parallel, so it
     #: can exceed ``wall_seconds``).
     simulate_seconds: float = 0.0
@@ -452,6 +457,7 @@ class SuiteTimings:
             f"  build={self.build_seconds:.2f}s  "
             f"interpret={self.interpret_seconds:.2f}s  "
             f"profile={self.profile_seconds:.2f}s  "
+            f"select={self.select_seconds:.2f}s  "
             f"simulate={self.simulate_seconds:.2f}s (aggregate)",
             f"  simulations: {self.simulations_run} run, "
             f"{self.sim_memo_hits} memo hit(s), "
@@ -543,16 +549,10 @@ def _accumulate_deltas(
     before: List[Tuple],
 ) -> None:
     for context, (stages, sims, memo, disk) in zip(contexts, before):
-        timings.build_seconds += context.stage_seconds["build"] - stages["build"]
-        timings.interpret_seconds += (
-            context.stage_seconds["interpret"] - stages["interpret"]
-        )
-        timings.profile_seconds += (
-            context.stage_seconds["profile"] - stages["profile"]
-        )
-        timings.simulate_seconds += (
-            context.stage_seconds["simulate"] - stages["simulate"]
-        )
+        for stage in _STAGES:
+            attr = f"{stage}_seconds"
+            setattr(timings, attr, getattr(timings, attr)
+                    + context.stage_seconds[stage] - stages[stage])
         timings.simulations_run += context.sims_run - sims
         timings.sim_memo_hits += context.sim_memo_hits - memo
         timings.sim_cache_hits += context.sim_cache_hits - disk

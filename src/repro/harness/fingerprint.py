@@ -14,22 +14,47 @@ that identifies "the same experiment".  ``repr()`` is not that key:
 The canonicalizer here walks every dataclass field via
 ``dataclasses.fields`` (nothing can be omitted), sorts dict/set members,
 and hashes the result, so the fingerprint is total over the object's
-data and independent of insertion order.  ``_FORMAT_VERSION`` is folded
-into every digest: bump it when the canonical form (or the meaning of a
-cached artifact) changes, and every old cache entry invalidates itself.
+data and independent of insertion order.  :func:`code_digest` — a hash
+of the ``repro`` package's own source — is folded into every digest, so
+any change to the code that produced a cached artifact invalidates it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import os
 from typing import Any, Optional
 
 from repro.uarch.config import MachineConfig
 
-#: Bump to invalidate every previously-computed fingerprint (and with
-#: them all on-disk cache entries).
-_FORMAT_VERSION = 1
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def source_digest(root: str) -> str:
+    """Hex SHA-256 over every ``.py`` file under ``root``: the sorted
+    relative paths, each followed by its file's bytes."""
+    rels = []
+    for dirpath, _dirs, files in os.walk(root):
+        rels.extend(
+            os.path.relpath(os.path.join(dirpath, name), root)
+            for name in files if name.endswith(".py")
+        )
+    h = hashlib.sha256()
+    for rel in sorted(rel.replace(os.sep, "/") for rel in rels):
+        with open(os.path.join(root, rel), "rb") as fh:
+            data = fh.read()
+        h.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """:func:`source_digest` of the ``repro`` package, computed once
+    per process on first use (not at import)."""
+    return source_digest(_PACKAGE_ROOT)
 
 
 def canonicalize(obj: Any) -> Any:
@@ -66,7 +91,7 @@ def canonicalize(obj: Any) -> Any:
 
 def fingerprint(obj: Any) -> str:
     """Hex SHA-256 of the canonical form of ``obj``."""
-    payload = repr((_FORMAT_VERSION, canonicalize(obj)))
+    payload = repr((code_digest(), canonicalize(obj)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

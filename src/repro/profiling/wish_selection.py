@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.dominators import immediate_postdominators
-from repro.cfg.graph import BasicBlock, ControlFlowGraph
+from repro.cfg.graph import ControlFlowGraph
 from repro.isa.encoding import DivergeHint, HintTable
 from repro.profiling.profiler import ProgramProfile
 from repro.program.program import Program
@@ -104,9 +104,3 @@ def select_wish_branches(
             )
             regions[instr.pc] = region
     return table, regions
-
-
-def region_instruction_count(
-    cfg: ControlFlowGraph, region: List[str]
-) -> int:
-    return sum(len(cfg.block(name)) for name in region)

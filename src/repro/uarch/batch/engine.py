@@ -91,10 +91,6 @@ _RING_PREGATHER = 512
 
 _TRACE, _DONE = 0, 2
 
-#: Episode path outcomes — the ``PathOutcome`` subset the plain dmp/dhp
-#: envelope can produce (no NEW_DIVERGE without multiple_diverge).
-_P_CFM, _P_RESOLVED, _P_EXHAUSTED, _P_LIMIT = 0, 1, 2, 3
-
 
 def _compile_row_loop(rows, nr: int, variant: str, anydp: bool = False):
     """exec-compile one block's scalar row loop, unrolled.
@@ -108,8 +104,9 @@ def _compile_row_loop(rows, nr: int, variant: str, anydp: bool = False):
 
     ``variant="tail"`` is the step loop's scalar row tail (resumable at
     any starting row ``i0`` via per-row guards); ``variant="ep"`` is an
-    episode's on-trace block (all rows, predicated load/store rules,
-    state carried on the ``_EpState``).
+    episode's on-trace block, replayed by
+    :meth:`~repro.uarch.batch.gang.EpisodeGang.run_lane` (all rows,
+    predicated load/store rules, state carried on the ``_EpState``).
     """
     out = []
     a = out.append
@@ -119,7 +116,7 @@ def _compile_row_loop(rows, nr: int, variant: str, anydp: bool = False):
     # log), and the writes — consecutive sequence numbers — go back as
     # one circular span, so a lane never pays to convert or copy the
     # full ROB.  The tail flushes its span here; an episode's log spans
-    # several calls and is flushed once by ``_dpred_epilogue``.
+    # several calls and is flushed once by ``gang._ep_finish``.
     if variant == "tail":
         a("def _f(i0, l0, s0, cyc, sl, blv, du, wt, hwt, mbt, dept,"
           " robv, rwt, lastt, cntt, sq0, rr, ring, srd, spr, lfwd,"
@@ -217,7 +214,9 @@ def _compile_row_loop(rows, nr: int, variant: str, anydp: bool = False):
 
 
 def _compile_static_block(rows, isbr: bool):
-    """exec-compile a predicate-FALSE static block (_ep_static_block).
+    """exec-compile a predicate-FALSE static block
+    (``_fetch_static_dpred_block_fast``) for
+    ``EpisodeGang._replay_static``.
 
     Static rows never retire and never touch the ring, so two folds on
     top of the plain unrolling are sound: rows with no destination
@@ -273,22 +272,22 @@ def _compile_static_block(rows, isbr: bool):
 class _EpState:
     """One cell's scalar state threaded through a dpred episode.
 
-    The episode transcription (`_Group._dpred_epilogue` and its path
-    fetchers) works on plain-python copies of the cell's fetch
-    accounting and register-ready file — list indexing beats numpy
-    scalar extraction several-fold on these scalar tails — and scatters
-    them back once per episode.  The retirement ring stays on the numpy
-    row (``ring``): the episode's retires land in the ``wr`` write log
-    at consecutive sequence numbers from ``seq0``, window-stall reads
-    past that boundary serve from the log, and the epilogue flushes the
-    log back as one circular span instead of converting the full ROB.
-    ``campcs``/``camlock`` model the episode's CfmCam (lock on first
-    match, both paths share it); the counters are per-episode deltas."""
+    :meth:`repro.uarch.batch.gang.EpisodeGang.run_lane` replays each
+    lane's episode on plain-python copies of the cell's fetch accounting
+    and register-ready file — list indexing beats numpy scalar
+    extraction several-fold on these scalar tails — and scatters them
+    back once per episode.  The retirement ring stays on the numpy row
+    (``ring``): the episode's retires land in the ``wr`` write log at
+    consecutive sequence numbers from ``seq0``, window-stall reads past
+    that boundary serve from the log, and ``gang._ep_finish`` flushes
+    the log back as one circular span instead of converting the full
+    ROB.  The episode's CfmCam and select set are shared structure, so
+    they live on the gang; the counters here are per-episode deltas."""
 
     __slots__ = (
         "ci", "cycle", "slots", "bl", "du", "w", "hw", "mb", "depth",
         "rob", "rw", "stops", "ghr", "rr", "ring", "wr", "last", "cnt",
-        "seq", "seq0", "written", "campcs", "camlock",
+        "seq", "seq0",
         "fc", "ex", "rb", "mp", "fl", "cd", "pf", "lw",
     )
 
@@ -429,11 +428,12 @@ def run_batch(
     ``profile`` (a dict, accumulated into) receives wall-time phase
     attribution: ``arena_build`` (group construction: arenas, horizon
     spans, table concatenation), ``step_loop`` (the vector driver),
-    ``episode_tails`` (dpred episodes: gang replay + scalar epilogues),
+    ``episode_tails`` (dpred episodes, every one a gang replay),
     ``scalar_walks`` (mispredict/fork wrong-path walks) and
     ``scalar_fallback`` (cells simulated on the fast engine).
     ``gang_stats`` (likewise accumulated) receives the ganged-episode
-    accounting: ``gangs``, ``ganged_lanes``, ``singleton_lanes``,
+    accounting: ``gangs``, ``ganged_lanes`` (lanes in gangs of two or
+    more), ``singleton_lanes`` (lanes that ran as gangs of one),
     ``max_gang``."""
     results: List[Optional[SimStats]] = [None] * len(cells)
     vec: List[int] = []
@@ -746,10 +746,10 @@ class _Group:
         self.LW = np.zeros(n, i8)
         self.EC = np.zeros((n, 7), i8)  # Table 1 exit cases, keys 1..6
 
-        # Python-native copies of every table the scalar epilogue/walk
-        # path touches: list indexing is ~5x cheaper than numpy scalar
-        # extraction, and the walks are the only per-cell (rather than
-        # per-step) cost the engine has left.
+        # Python-native copies of every table the scalar walks and
+        # episode replays touch: list indexing is ~5x cheaper than numpy
+        # scalar extraction, and the walks are the only per-cell (rather
+        # than per-step) cost the engine has left.
         self.pNROWS = self.NROWS.tolist()
         self.pFPC = self.FPC.tolist()
         self.pTERM = self.TERM.tolist()
@@ -880,7 +880,8 @@ class _Group:
             self._init_dpred(cells, cfg, nblk)
 
     def _init_dpred(self, cells, cfg, nblk: int) -> None:
-        """Static tables for the dmp/dhp episode transcription.
+        """Static tables for the dmp/dhp episodes (run by
+        :mod:`repro.uarch.batch.gang`).
 
         ``HASH[ci, gb]`` marks the diverge branches cell ``ci`` may
         predicate: block ``gb`` ends in a conditional branch whose PC has
@@ -921,7 +922,6 @@ class _Group:
         self.pRECBLK = self.RECBLK.tolist()
         self.pREXTRA = self.REXTRA.tolist()
         self.pRTAKEN = self.RTAKEN.tolist()
-        self.pRSEQ0 = self.RSEQ0.tolist()
         self.pRUNDER = self.RUNDER.tolist()
         self.pBRSRC = [
             tuple(s for s in row if s != ZREG)
@@ -1416,10 +1416,10 @@ class _Group:
             self._prof["scalar_walks"] += perf_counter() - t0
 
         if dpe is not None and dpe.any():
-            # Dynamic-predication episodes run synchronously per cell
-            # (exact scalar transcription, like the walks above) and may
-            # jump the cursor forward over the records their predicated
-            # paths fetched.
+            # Dynamic-predication episodes run synchronously, grouped
+            # into gangs by episode signature (a lone lane is a gang of
+            # one), and may jump the cursor forward over the records
+            # their predicated paths fetched.
             t0 = perf_counter()
             sel = np.nonzero(dpe)[0]
             dc = vc[sel]
@@ -1435,8 +1435,8 @@ class _Group:
             )
             rg = self._run_gangs
             if rg is None:
-                # Deferred import: gang.py imports this module's scalar
-                # episode machinery back.
+                # Deferred import: gang.py imports this module's row
+                # compilers, _EpState and predictor constants back.
                 from repro.uarch.batch.gang import run_gangs as rg
                 self._run_gangs = rg
             outs = rg(self, lanes)
@@ -1518,467 +1518,6 @@ class _Group:
         s2 = self.phalfw[ci] if c2 <= dual else self.pwidth[ci]
         ghr_out = ((snap << 1) | int(actual)) & _M31
         return (c2, s2, self.pmaxb[ci], ghr_out, dual, 1, 1, 0, cd, cik)
-
-    # ------------------------------------------------------------------
-    # Scalar dpred episode: exact transcription of _dpred_once_impl
-    # ------------------------------------------------------------------
-
-    def _dpred_epilogue(self, ci, cur, b, fetchc, sbr, bbr, res, snap,
-                        pred, actual, dual, seq1):
-        """One dynamic-predication episode for one dmp/dhp cell.
-
-        Transcribes ``_dpred_once_impl`` for the vector envelope's plain
-        machines (no early exit, multiple diverge, loop predication or
-        selective update; watch_diverge is therefore always False and
-        episodes never restart or nest).  The diverge branch's own
-        fetch/retire/train/JRS-update already ran on the vector path in
-        the scalar call order, and the top-level spec_update it skipped
-        is recomputed here from ``snap``.  Returns ``(cycle, slots,
-        branches, ghr, continuation)`` for the caller's scatter; all
-        other state (registers, ring, store predicates, counters,
-        weights, BTB seen-bits) is written back in place."""
-        st = _EpState()
-        st.ci = ci
-        st.cycle = fetchc
-        st.slots = sbr
-        st.bl = bbr
-        st.du = dual
-        st.w = self.pwidth[ci]
-        st.hw = self.phalfw[ci]
-        st.mb = self.pmaxb[ci]
-        st.depth = self.pdepth[ci]
-        st.rob = self.prob[ci]
-        st.rw = self.prw[ci]
-        st.stops = self.pstops[ci]
-        st.rr = self.RR[ci].tolist()
-        st.ring = self.RING[ci]
-        st.wr = []
-        st.last = int(self.last[ci])
-        st.cnt = int(self.cnt[ci])
-        # The post-branch sequence number comes from the caller: with
-        # horizon spans, ``cur`` is the span-*end* record while ``b``
-        # covers the whole span, so pRSEQ0[cur] + pNROWS[b] would
-        # double-count the merged records.
-        st.seq = st.seq0 = seq1
-        st.written = set()
-        st.campcs = self.cfms[ci][b]
-        st.camlock = None
-        st.fc = st.ex = st.rb = st.mp = st.fl = 0
-        st.cd = st.pf = st.lw = 0
-
-        self.DPE[ci] += 1
-        p1 = self.pcnt[ci]
-        p2 = p1 + 1
-        self.pcnt[ci] = p1 + 2
-        xu = 1  # enter.pred.path uop (completion discarded)
-        nsel = 0
-        cp1_ready = list(st.rr)
-        misp = pred != actual
-        limit = self.pplimit[ci]
-
-        # --- predicted path: restore(ghr1) + spec_update(pred), the
-        # taken redirect, then trace (correct prediction) or static
-        # (mispredicted) fetch under predicate p1.
-        st.ghr = ((snap << 1) | (1 if pred else 0)) & _M31
-        if pred:
-            self._ep_taken_redirect(st, self.pSITE[b])
-        if misp:
-            start = self.pTAKEN[b] if pred else self.pFALL[b]
-            pout = self._ep_static_path(
-                st, start, self.pRNODE[cur], res, limit
-            )
-            ppos = -1
-        else:
-            pout, ppos = self._ep_trace_path(st, cur + 1, res, p1, limit)
-
-        if pout != _P_CFM:
-            # _exit_without_predicted_cfm: cases 5 / 6.
-            if pout != _P_RESOLVED and st.cycle < res:
-                self._ep_adv(st, res)
-            if misp:
-                ecase = 6  # FLUSH
-                st.mp += 1
-                st.fl += 1
-                st.rr = list(cp1_ready)
-                self._ep_adv(st, res + 1)
-                ghr_out = ((snap << 1) | (1 if actual else 0)) & _M31
-                cont = cur + 1
-            else:
-                ecase = 5  # CONTINUE_PREDICTED
-                ghr_out = st.ghr
-                cont = ppos
-        else:
-            # --- alternate path: checkpoint the predicted end, restore
-            # the pre-branch registers, fetch the other direction under
-            # predicate p2 (trace when mispredicted, static otherwise).
-            predicted_ghr = st.ghr
-            cp2_ready = list(st.rr)
-            st.rr = list(cp1_ready)
-            xu += 1  # enter.alternate.path
-            st.ghr = ((snap << 1) | (0 if pred else 1)) & _M31
-            if misp:
-                aout, apos = self._ep_trace_path(
-                    st, cur + 1, res, p2, limit
-                )
-            else:
-                start = self.pFALL[b] if pred else self.pTAKEN[b]
-                aout = self._ep_static_path(
-                    st, start, self.pRNODE[ppos], res, limit
-                )
-                apos = -1
-            if aout == _P_CFM:
-                # Cases 1 / 2: normal exit with select-uops.  The select
-                # set is the ascending union of registers renamed on
-                # either path (fresh tags always differ; pre-episode M
-                # bits never can, their mappings being equal).
-                xu += 1  # exit.pred
-                rr = st.rr
-                cycle_d = st.cycle + st.depth
-                selects = sorted(st.written)
-                for a in selects:
-                    sr = cp2_ready[a]
-                    v = rr[a]
-                    if v > sr:
-                        sr = v
-                    if res > sr:
-                        sr = res
-                    rr[a] = (cycle_d if cycle_d > sr else sr) + 1
-                nsel = len(selects)
-                if self.pghrpred[ci]:
-                    ghr_out = predicted_ghr
-                else:
-                    ghr_out = st.ghr
-                if misp:
-                    ecase = 2  # NORMAL_MISPREDICTED
-                    st.mp += 1  # eliminated: no flush
-                    cont = apos
-                else:
-                    ecase = 1  # NORMAL_CORRECT
-                    cont = ppos
-            else:
-                # RESOLVED / EXHAUSTED / LIMIT (early exit is outside
-                # the envelope): cases 3 / 4.
-                if st.cycle < res:
-                    self._ep_adv(st, res)
-                if misp:
-                    ecase = 4  # CONTINUE_ALTERNATE
-                    st.mp += 1  # eliminated: no flush
-                    ghr_out = st.ghr
-                    cont = apos
-                else:
-                    ecase = 3  # REDIRECT_TO_CFM
-                    st.rr = list(cp2_ready)
-                    ghr_out = predicted_ghr
-                    self._ep_adv(st, None)
-                    cont = ppos
-
-        return self._ep_finish(
-            ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
-            ghr_out, cont,
-        )
-
-    def _ep_finish(self, ci, st, cur, b, pred, actual, snap, ecase, xu,
-                   nsel, ghr_out, cont):
-        """Episode tail shared by the scalar epilogue and the gang
-        replay: scatter the per-cell state back, flush the ring span,
-        intern the episode signature, accumulate the counters."""
-        self.RR[ci] = st.rr
-        # The episode's ring writes sit at consecutive sequence numbers;
-        # flush just that circular span of the write log (a full
-        # 513-slot row costs ~10us per episode, the typical span a
-        # fraction of that).
-        wr = st.wr
-        nw = len(wr)
-        rob = st.rob
-        ring = st.ring
-        if nw >= rob:
-            b0 = st.seq0 + nw - rob
-            for off in range(rob):
-                ring[(b0 + off) % rob] = wr[nw - rob + off]
-        elif nw:
-            a0 = st.seq0 % rob
-            end = a0 + nw
-            if end <= rob:
-                ring[a0:end] = wr
-            else:
-                ring[a0:rob] = wr[: rob - a0]
-                ring[: end - rob] = wr[rob - a0:]
-        self.last[ci] = st.last
-        self.cnt[ci] = st.cnt
-        self.EC[ci, ecase] += 1
-        sigs = self._episigs
-        skey = (
-            self.pepoch[ci], cur, b, pred, actual, snap, ecase, cont,
-            ghr_out,
-        )
-        eid = sigs.get(skey)
-        if eid is None:
-            eid = sigs[skey] = len(sigs) + 1
-        self.pepoch[ci] = eid
-        self.XU[ci] += xu
-        self.SU[ci] += nsel
-        self.FC[ci] += st.fc
-        self.EX[ci] += st.ex
-        self.RB[ci] += st.rb
-        self.MP[ci] += st.mp
-        self.FL[ci] += st.fl
-        self.CD[ci] += st.cd
-        self.PF[ci] += st.pf
-        self.LW[ci] += st.lw
-        return st.cycle, st.slots, st.bl, ghr_out, cont
-
-    def _ep_adv(self, st: _EpState, to) -> None:
-        """_advance_fetch_cycle."""
-        c = st.cycle + 1
-        if to is not None and to > c:
-            c = to
-        st.cycle = c
-        st.slots = st.hw if c <= st.du else st.w
-        st.bl = st.mb
-
-    def _ep_taken_redirect(self, st: _EpState, site: int) -> None:
-        """_taken_redirect under the seen-bit BTB model."""
-        if not self.BTBSEEN[st.ci, site]:
-            self.BTBSEEN[st.ci, site] = True
-            self._ep_adv(st, None)
-        if st.stops:
-            self._ep_adv(st, None)
-
-    def _ep_trace_path(self, st: _EpState, pos: int, res: int, pid: int,
-                       limit: int):
-        """_fetch_dpred_trace_path_fast with watch_diverge=False.
-        Returns ``(outcome, position)`` — the CFM trace position or the
-        stopped position.  Record-once holds: the caller resumes the
-        main loop exactly past the records consumed here."""
-        rend = self.prends[st.ci]
-        fetched = 0
-        while True:
-            if pos >= rend:
-                return _P_EXHAUSTED, pos
-            fpc = self.pRFPC[pos]
-            if (
-                fpc == st.camlock if st.camlock is not None
-                else fpc in st.campcs
-            ):
-                st.camlock = fpc
-                return _P_CFM, pos
-            if st.cycle >= res:
-                return _P_RESOLVED, pos
-            b = self.pRECBLK[pos]
-            nr = self.pNROWS[b]
-            if fetched + nr > limit:
-                return _P_LIMIT, pos
-            extra = self.pREXTRA[pos]
-            if extra > 0:
-                self._ep_adv(st, st.cycle + extra)
-            if self.pTERM[b] == TERM_BR:
-                self._ep_fetch_rows(st, pos, b, self.pNBODY[b], res, pid)
-                self._ep_nested_branch(st, pos, b)
-            else:
-                self._ep_fetch_rows(st, pos, b, nr, res, pid)
-                self._ep_transfer(st, pos, b)
-            fetched += nr
-            pos += 1
-
-    def _ep_transfer(self, st: _EpState, pos: int, b: int) -> None:
-        """_transfer_fast (JMP/CALL/RET/NONE) inside an episode."""
-        term = self.pTERM[b]
-        if term == TERM_NONE:
-            return
-        if term == TERM_RET:
-            self._ep_adv(st, None)
-            if self.pRUNDER[pos]:
-                self._ep_adv(st, st.cycle + st.depth)
-        else:  # JMP / CALL: the push is timing-free, the redirect isn't
-            self._ep_taken_redirect(st, self.pSITE[b])
-
-    def _ep_fetch_rows(self, st: _EpState, pos: int, b: int, nrows: int,
-                       res: int, pid: int) -> None:
-        """_fetch_trace_block_fast for an episode's on-trace block:
-        predicated stores publish (ready, predicate-ready, pid) and
-        predicated loads apply the forward/wait rule against them."""
-        if not nrows:
-            return
-        fn = self._epfns.get(b)
-        if fn is None:
-            fn = self._epfns[b] = _compile_row_loop(
-                self.pROWS[b], nrows, "ep"
-            )
-        ci = st.ci
-        fn(
-            st, self.pRL0[pos], self.pRS0[pos], res, pid,
-            self.SREADY[ci], self.SPREADYP[ci], self.spid[ci],
-            self.pLFWD, self.pLLAT,
-        )
-        st.written.update(self.pDESTS[b])
-        st.fc += nrows
-        st.ex += nrows
-
-    def _ep_nested_branch(self, st: _EpState, pos: int, b: int) -> None:
-        """_handle_nested_trace_branch with watch_diverge=False: predict,
-        fetch/retire the branch row, train + JRS, then flush-and-repair
-        (footnote 11) or taken-redirect inline."""
-        ci = st.ci
-        hist = st.ghr
-        idx = self.pPCT[b]
-        out = self._scalar_predict(self.W[ci, idx].tolist(), hist)
-        prd = out >= 0
-        # _fetch_branch_instruction: _fetch_slot(True) with the ROB
-        # window check, then sources + retire.
-        seq = st.seq
-        rob = st.rob
-        if seq >= rob:
-            j = seq - rob
-            sq0 = st.seq0
-            oldest = st.wr[j - sq0] if j >= sq0 else st.ring[j % rob]
-            if st.cycle < oldest:
-                self._ep_adv(st, oldest)
-        if st.slots <= 0 or st.bl <= 0:
-            self._ep_adv(st, None)
-        st.slots -= 1
-        st.bl -= 1
-        st.fc += 1
-        base = st.cycle + st.depth
-        for s_ in self.pBRSRC[b]:
-            v = st.rr[s_]
-            if v > base:
-                base = v
-        comp = base + self.pBRLAT[b]
-        rc = comp + 1
-        if rc < st.last:
-            rc = st.last
-        if rc == st.last:
-            if st.cnt >= st.rw:
-                rc += 1
-                st.cnt = 0
-        else:
-            st.cnt = 0
-        st.last = rc
-        st.cnt += 1
-        st.wr.append(rc)
-        st.seq = seq + 1
-        st.ex += 1
-        st.rb += 1
-        actual = bool(self.pRTAKEN[pos])
-        misp = prd != actual
-        st.ghr = ((hist << 1) | (1 if prd else 0)) & _M31
-        self._ep_train(ci, idx, hist, out, prd, actual)
-        jidx = (self.pJPC[b] ^ (hist & _JHMASK)) & (_JTAB - 1)
-        jrow = self.JRS[ci]
-        if misp:
-            jrow[jidx] = 0
-        else:
-            v = int(jrow[jidx])
-            if v < _JMAX:
-                jrow[jidx] = v + 1
-        if misp:
-            st.mp += 1
-            st.fl += 1
-            self._ep_adv(st, comp + 1)
-            st.ghr = ((hist << 1) | (1 if actual else 0)) & _M31
-        elif prd:
-            self._ep_taken_redirect(st, self.pSITE[b])
-
-    def _ep_static_path(self, st: _EpState, cur: int, node: int,
-                        res: int, limit: int) -> int:
-        """_fetch_dpred_static_path_fast with watch_diverge=False: walk
-        the static CFG behind the predictor under predicate FALSE.  No
-        records are consumed, the sequence number stays frozen, and the
-        predictor steers (plain cycle-end advances — the static walker
-        never touches the BTB)."""
-        local: List[int] = []
-        fetched = 0
-        while True:
-            if cur < 0:
-                return _P_EXHAUSTED
-            fpc = self.pFPC[cur]
-            if (
-                fpc == st.camlock if st.camlock is not None
-                else fpc in st.campcs
-            ):
-                st.camlock = fpc
-                return _P_CFM
-            if st.cycle >= res:
-                return _P_RESOLVED
-            if fetched + self.pNROWS[cur] > limit:
-                return _P_LIMIT
-            self._ep_static_block(st, cur)
-            fetched += self.pNROWS[cur]
-            term = self.pTERM[cur]
-            if term == TERM_BR:
-                hist = st.ghr
-                out = self._scalar_predict(
-                    self.W[st.ci, self.pPCT[cur]].tolist(), hist
-                )
-                prd = out >= 0
-                st.ghr = ((hist << 1) | (1 if prd else 0)) & _M31
-                if prd:
-                    self._ep_adv(st, None)  # taken ends the cycle
-                    cur = self.pTAKEN[cur]
-                else:
-                    cur = self.pFALL[cur]
-            elif term == TERM_NONE:
-                cur = self.pFALL[cur]
-            else:
-                self._ep_adv(st, None)  # jmp/call/ret redirect
-                if term == TERM_JMP:
-                    cur = self.pTARGET[cur]
-                elif term == TERM_CALL:
-                    fall = self.pFALL[cur]
-                    if fall >= 0:
-                        local.append(fall)
-                    cur = self.pCALLEE[cur]
-                else:  # TERM_RET: local shadow stack, then the
-                    if local:  # architectural context chain
-                        cur = local.pop()
-                    elif node >= 0:
-                        cur = self.pNODERET[node]
-                        node = self.pNODEPAR[node]
-                    else:
-                        cur = -1
-
-    def _ep_static_block(self, st: _EpState, cur: int) -> None:
-        """_fetch_static_dpred_block_fast: predicate-FALSE instructions
-        occupy fetch/window resources and rename, but never retire (the
-        sequence number is frozen — they leave the window on predicate
-        resolution, never blocking it)."""
-        nr = self.pNROWS[cur]
-        if not nr:
-            return
-        fn = self._stfns.get(cur)
-        if fn is None:
-            fn = self._stfns[cur] = _compile_static_block(
-                self.pROWS[cur], self.pTERM[cur] == TERM_BR
-            )
-        seq = st.seq
-        # seq is frozen here, so the window's oldest entry is one fixed
-        # value (0 when the window isn't full: cycles are never negative
-        # and the stall test stays false).
-        if seq >= st.rob:
-            j = seq - st.rob
-            sq0 = st.seq0
-            oldest = st.wr[j - sq0] if j >= sq0 else st.ring[j % st.rob]
-        else:
-            oldest = 0
-        fn(st, oldest)
-        st.written.update(self.pDESTS[cur])
-        st.cd += nr
-        st.ex += nr
-        st.pf += nr
-
-    def _ep_train(self, ci: int, idx: int, hist: int, out: int,
-                  pred: bool, actual: bool) -> None:
-        """Scalar perceptron train + clip (misp or weak output only)."""
-        if pred == actual and (out if out >= 0 else -out) > _THETA:
-            return
-        lst = self.W[ci, idx].tolist()
-        t = 1 if actual else -1
-        v = lst[0] + t
-        lst[0] = _WMAX if v > _WMAX else (_WMIN if v < _WMIN else v)
-        for j in range(1, _HBITS + 1):
-            v = lst[j] + (t if (hist >> (j - 1)) & 1 else -t)
-            lst[j] = _WMAX if v > _WMAX else (_WMIN if v < _WMIN else v)
-        self.W[ci, idx] = lst
 
     def _scalar_predict(self, row: List[int], ghr: int) -> int:
         out = row[0]

@@ -15,12 +15,12 @@ times *temporally*: the gang lazily materialises a shared skeleton of
 path steps (one per trace record or static block), computing each
 prediction, perceptron train, JRS update and BTB seen-bit transition
 exactly once, while every lane replays the skeleton's timing against
-its own :class:`~repro.uarch.batch.engine._EpState` through the same
-exec-compiled row kernels the scalar episode path uses.  Per-lane stop
-conditions (branch resolution reached, path-length limit) simply cut
-the replay short — a lane stopping at step ``k`` has applied exactly
-the first ``k`` predictor transitions, which is what the scalar flow
-would have done.
+its own :class:`~repro.uarch.batch.engine._EpState` through the
+exec-compiled row kernels of :mod:`repro.uarch.batch.engine`.  Per-lane
+stop conditions (branch resolution reached, path-length limit) simply
+cut the replay short — a lane stopping at step ``k`` has applied
+exactly the first ``k`` predictor transitions, which is what the scalar
+engines' ``_dpred_once_impl`` would have done.
 
 Shared predictor reads go through overlay dicts (weights rows, JRS
 counters, BTB seen-bits) shadowing the first lane's live arrays: every
@@ -28,9 +28,11 @@ entry the episode mutates is in the overlay before any lane's replay
 can write it back, so skeleton extension never observes a replay's
 in-place writes.
 
-Singleton lanes (a signature no other lane shares this resolution
-step) fall back to the scalar ``_dpred_epilogue`` — surfaced in the
-``gang_stats`` accounting rather than silently folded in.
+This module is the batch engine's only episode implementation: a lane
+whose signature no other lane shares this resolution step runs as a
+gang of one, just as a lone wrong-path walk replays its own
+``_WalkPath``.  ``gang_stats`` counts those lanes as
+``singleton_lanes``.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ from repro.uarch.batch.engine import (
     _JMAX,
     _JTAB,
     _M31,
-    _P_CFM,
-    _P_EXHAUSTED,
-    _P_LIMIT,
-    _P_RESOLVED,
     _THETA,
     _WMAX,
     _WMIN,
@@ -61,6 +59,70 @@ from repro.uarch.plan import (
     TERM_NONE,
     TERM_RET,
 )
+
+#: Episode path outcomes — the ``PathOutcome`` subset the plain dmp/dhp
+#: envelope can produce (no NEW_DIVERGE without multiple_diverge).
+_P_CFM, _P_RESOLVED, _P_EXHAUSTED, _P_LIMIT = 0, 1, 2, 3
+
+
+def _ep_adv(st: _EpState, to) -> None:
+    """_advance_fetch_cycle."""
+    c = st.cycle + 1
+    if to is not None and to > c:
+        c = to
+    st.cycle = c
+    st.slots = st.hw if c <= st.du else st.w
+    st.bl = st.mb
+
+
+def _ep_finish(G, ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
+               ghr_out, cont):
+    """Episode tail: scatter the lane's state back to the group, flush
+    the ring span, intern the episode signature, accumulate the
+    counters.  Returns ``(cycle, slots, branches, ghr, continuation)``
+    for the step loop's scatter."""
+    G.RR[ci] = st.rr
+    # The episode's ring writes sit at consecutive sequence numbers;
+    # flush just that circular span of the write log (a full 513-slot
+    # row costs ~10us per episode, the typical span a fraction of that).
+    wr = st.wr
+    nw = len(wr)
+    rob = st.rob
+    ring = st.ring
+    if nw >= rob:
+        b0 = st.seq0 + nw - rob
+        for off in range(rob):
+            ring[(b0 + off) % rob] = wr[nw - rob + off]
+    elif nw:
+        a0 = st.seq0 % rob
+        end = a0 + nw
+        if end <= rob:
+            ring[a0:end] = wr
+        else:
+            ring[a0:rob] = wr[: rob - a0]
+            ring[: end - rob] = wr[rob - a0:]
+    G.last[ci] = st.last
+    G.cnt[ci] = st.cnt
+    G.EC[ci, ecase] += 1
+    sigs = G._episigs
+    skey = (
+        G.pepoch[ci], cur, b, pred, actual, snap, ecase, cont, ghr_out,
+    )
+    eid = sigs.get(skey)
+    if eid is None:
+        eid = sigs[skey] = len(sigs) + 1
+    G.pepoch[ci] = eid
+    G.XU[ci] += xu
+    G.SU[ci] += nsel
+    G.FC[ci] += st.fc
+    G.EX[ci] += st.ex
+    G.RB[ci] += st.rb
+    G.MP[ci] += st.mp
+    G.FL[ci] += st.fl
+    G.CD[ci] += st.cd
+    G.PF[ci] += st.pf
+    G.LW[ci] += st.lw
+    return st.cycle, st.slots, st.bl, ghr_out, cont
 
 
 class _TraceSkel:
@@ -317,9 +379,9 @@ class EpisodeGang:
     def _replay_trace(self, sk: _TraceSkel, st: _EpState, res: int,
                       pid: int, limit: int, srd, spr, spidd):
         """Walk the shared trace skeleton with one lane's timing state.
-        Mirrors ``_ep_trace_path``'s per-record check order: trace end /
-        CAM hit (terminal, unconditional), then resolution, then the
-        path-length limit."""
+        Mirrors the per-record check order of the scalar engine's
+        ``_fetch_dpred_trace_path_fast``: trace end / CAM hit (terminal,
+        unconditional), then resolution, then the path-length limit."""
         G = self.G
         steps = sk.steps
         cum = sk.cum
@@ -327,7 +389,7 @@ class EpisodeGang:
         epfns = G._epfns
         lfwd = G.pLFWD
         llat = G.pLLAT
-        ep_adv = G._ep_adv
+        ep_adv = _ep_adv
         k = 0
         while True:
             if k == len(steps):
@@ -441,13 +503,14 @@ class EpisodeGang:
     def _replay_static(self, sk: _StaticSkel, st: _EpState, res: int,
                        limit: int) -> int:
         """Walk the shared static skeleton with one lane's timing state
-        (``_ep_static_path``'s check order, sequence number frozen)."""
+        (the check order of the scalar engine's
+        ``_fetch_dpred_static_path_fast``, sequence number frozen)."""
         G = self.G
         steps = sk.steps
         cum = sk.cum
         ghr_after = sk.ghr_after
         stfns = G._stfns
-        ep_adv = G._ep_adv
+        ep_adv = _ep_adv
         k = 0
         while True:
             if k == len(steps):
@@ -490,8 +553,19 @@ class EpisodeGang:
     # -- one lane, full episode ----------------------------------------
 
     def run_lane(self, lane):
-        """Exact per-lane transcription of ``_dpred_epilogue`` with the
-        structural work served by the shared skeletons."""
+        """One dynamic-predication episode for one dmp/dhp lane, with
+        the structural work served by the shared skeletons.
+
+        Transcribes ``_dpred_once_impl`` for the vector envelope's plain
+        machines (no early exit, multiple diverge, loop predication or
+        selective update; watch_diverge is therefore always False and
+        episodes never restart or nest).  The diverge branch's own
+        fetch/retire/train/JRS-update already ran on the vector path in
+        the scalar call order, and the top-level spec_update it skipped
+        is recomputed here from ``snap``.  Returns ``(cycle, slots,
+        branches, ghr, continuation)`` for the caller's scatter; all
+        other state (registers, ring, store predicates, counters,
+        weights, BTB seen-bits) is written back in place."""
         (ci, cur, b, fetchc, sbr, bbr, res, snap, pred, actual, dual,
          seq1) = lane
         G = self.G
@@ -513,8 +587,11 @@ class EpisodeGang:
         st.wr = []
         st.last = int(G.last[ci])
         st.cnt = int(G.cnt[ci])
+        # The post-branch sequence number comes from the caller: with
+        # horizon spans, ``cur`` is the span-*end* record while ``b``
+        # covers the whole span, so a record-derived number would
+        # double-count the merged records.
         st.seq = st.seq0 = seq1
-        st.written = st.campcs = st.camlock = None  # skeleton-owned
         st.fc = st.ex = st.rb = st.mp = st.fl = 0
         st.cd = st.pf = st.lw = 0
 
@@ -536,9 +613,9 @@ class EpisodeGang:
         if pred:
             if self.newsite0:
                 G.BTBSEEN[ci, self.site0] = True
-                G._ep_adv(st, None)
+                _ep_adv(st, None)
             if st.stops:
-                G._ep_adv(st, None)
+                _ep_adv(st, None)
         if misp:
             pout = self._replay_static(self.pskel, st, res, limit)
             ppos = -1
@@ -548,14 +625,15 @@ class EpisodeGang:
             )
 
         if pout != _P_CFM:
+            # _exit_without_predicted_cfm: cases 5 / 6.
             if pout != _P_RESOLVED and st.cycle < res:
-                G._ep_adv(st, res)
+                _ep_adv(st, res)
             if misp:
                 ecase = 6  # FLUSH
                 st.mp += 1
                 st.fl += 1
                 st.rr = cp1_ready
-                G._ep_adv(st, res + 1)
+                _ep_adv(st, res + 1)
                 ghr_out = ((snap << 1) | (1 if actual else 0)) & _M31
                 cont = cur + 1
             else:
@@ -563,6 +641,9 @@ class EpisodeGang:
                 ghr_out = st.ghr
                 cont = ppos
         else:
+            # Alternate path: checkpoint the predicted end, restore the
+            # pre-branch registers, fetch the other direction (trace
+            # when mispredicted, static otherwise).
             predicted_ghr = st.ghr
             cp2_ready = list(st.rr)
             st.rr = cp1_ready
@@ -615,8 +696,9 @@ class EpisodeGang:
                     ecase = 1  # NORMAL_CORRECT
                     cont = ppos
             else:
+                # RESOLVED / EXHAUSTED / LIMIT: cases 3 / 4.
                 if st.cycle < res:
-                    G._ep_adv(st, res)
+                    _ep_adv(st, res)
                 if misp:
                     ecase = 4  # CONTINUE_ALTERNATE
                     st.mp += 1  # eliminated: no flush
@@ -626,19 +708,20 @@ class EpisodeGang:
                     ecase = 3  # REDIRECT_TO_CFM
                     st.rr = cp2_ready
                     ghr_out = predicted_ghr
-                    G._ep_adv(st, None)
+                    _ep_adv(st, None)
                     cont = ppos
 
-        return G._ep_finish(
-            ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
+        return _ep_finish(
+            G, ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
             ghr_out, cont,
         )
 
 
 def run_gangs(G, lanes: List[tuple]) -> List[tuple]:
     """Group one resolution step's dpred lanes by episode signature and
-    run each gang's episode once structurally.  ``lanes`` holds the
-    scalar ``_dpred_epilogue`` argument tuples; results come back in
+    run each gang's episode once structurally; a lane no other lane
+    shares runs as a gang of one.  ``lanes`` holds
+    :meth:`EpisodeGang.run_lane` argument tuples; results come back in
     lane order.  Keys are computed up front from the pre-episode epochs
     (each lane's episode only advances its own epoch)."""
     groups: Dict[tuple, List[int]] = {}
@@ -651,14 +734,12 @@ def run_gangs(G, lanes: List[tuple]) -> List[tuple]:
         groups.setdefault(key, []).append(i)
     out: List = [None] * len(lanes)
     for idxs in groups.values():
+        gang = EpisodeGang(G, lanes[idxs[0]])
+        for i in idxs:
+            out[i] = gang.run_lane(lanes[i])
         if len(idxs) == 1:
-            i = idxs[0]
-            out[i] = G._dpred_epilogue(*lanes[i])
             G.gang_singletons += 1
         else:
-            gang = EpisodeGang(G, lanes[idxs[0]])
-            for i in idxs:
-                out[i] = gang.run_lane(lanes[i])
             G.gang_count += 1
             G.gang_lanes += len(idxs)
             if len(idxs) > G.gang_max:

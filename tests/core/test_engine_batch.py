@@ -134,15 +134,24 @@ def test_mixed_mode_grid_bit_identical():
     assert covered, "no dpred episodes resolved — grid too shallow"
 
 
-def test_single_cell_simulate_route():
+@pytest.mark.parametrize("config_name", ("dualpath", "dmp", "dhp"))
+def test_single_cell_simulate_route(config_name):
     """``simulate(engine="batch")`` — the processors.py route — works
-    for a lone cell, vector path included."""
+    for a lone cell, vector path included.  A lone predicated cell
+    shares no episode with another lane, so every episode runs as a
+    gang of one."""
     ctx = _context("parser")
-    config = MachineConfig.dualpath()
+    config = getattr(MachineConfig, config_name)()
+    ref = dataclasses.asdict(_reference(ctx, config))
     got = ctx.simulate(config.replace(engine="batch"))
-    assert dataclasses.asdict(got) == dataclasses.asdict(
-        _reference(ctx, config)
-    )
+    assert dataclasses.asdict(got) == ref
+    if config_name == "dualpath":
+        return
+    stats = {}
+    (got,) = run_batch([_cell(ctx, config)], gang_stats=stats)
+    assert dataclasses.asdict(got) == ref
+    if batch_supported():
+        assert stats["ganged_lanes"] == 0 < stats["singleton_lanes"], stats
 
 
 @pytest.mark.parametrize(

@@ -310,9 +310,9 @@ class TestRunBench:
         assert cell["fast_sampled_cells"] > 0
         assert cell["speedup_fast_dmp"] > 0
         assert cell["fast_percell_s"] > 0
-        # dmp lanes must actually reach the ganged-episode kernels:
-        # a sweep whose every episode ran the singleton scalar path
-        # would silently measure the wrong thing.
+        # dmp lanes must actually share episodes: a sweep whose every
+        # episode ran as a gang of one would silently measure the
+        # wrong thing.
         assert cell["gang_stats"]["ganged_lanes"] > 0
         assert cell["gang_stats"]["max_gang"] >= 2
         assert cell["profile"]["episode_tails"] > 0

@@ -1,7 +1,10 @@
 """Canonical fingerprinting: the cache/memo keys must be total over the
-object's data and independent of dict insertion order."""
+object's data, independent of dict insertion order, and follow the
+package's source code."""
 
 import dataclasses
+import importlib
+import shutil
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.harness.fingerprint import (
     config_fingerprint,
     context_fingerprint,
     fingerprint,
+    source_digest,
 )
 from repro.profiling.diverge_selection import SelectionThresholds
 from repro.uarch.config import MachineConfig
@@ -115,3 +119,30 @@ class TestContextFingerprint:
         assert context_fingerprint(
             "parser", 100, 0, SelectionThresholds()
         ) == context_fingerprint("parser", 100, 0, SelectionThresholds())
+
+
+class TestCodeDigest:
+    """A cache warmed by other code must not serve its stats: the
+    package's source digest is folded into every fingerprint."""
+
+    module = importlib.import_module("repro.harness.fingerprint")
+
+    def test_editing_one_file_changes_the_digest(self, tmp_path):
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            self.module._PACKAGE_ROOT, tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        before = source_digest(str(tree))
+        # Content-addressed: the copy hashes like the live package.
+        assert before == self.module.code_digest()
+        model = tree / "uarch" / "timing.py"
+        model.write_bytes(model.read_bytes().swapcase())  # same length
+        assert source_digest(str(tree)) != before
+
+    def test_config_fingerprint_follows_the_digest(self, monkeypatch):
+        config = MachineConfig.dmp()
+        monkeypatch.setattr(self.module, "code_digest", lambda: "a" * 64)
+        first = config_fingerprint(config)
+        monkeypatch.setattr(self.module, "code_digest", lambda: "b" * 64)
+        assert config_fingerprint(config) != first

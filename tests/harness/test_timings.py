@@ -23,6 +23,7 @@ def _stage_sum(timings):
         timings.build_seconds
         + timings.interpret_seconds
         + timings.profile_seconds
+        + timings.select_seconds
         + timings.simulate_seconds
     )
 
@@ -30,6 +31,7 @@ def _stage_sum(timings):
 def test_cold_serial_stages_sum_to_at_most_wall_clock():
     timings = run_suite(_configs(), _BENCHMARKS, iterations=_ITERATIONS).timings
     assert timings.interpret_seconds > 0
+    assert timings.select_seconds > 0
     assert timings.simulate_seconds > 0
     assert _stage_sum(timings) <= timings.wall_seconds * 1.02
 
@@ -51,3 +53,4 @@ def test_report_names_the_interpret_stage():
     timings = run_suite({"base": MachineConfig.baseline()}, ("eon",),
                         iterations=_ITERATIONS).timings
     assert "interpret=" in timings.report()
+    assert "select=" in timings.report()
