@@ -13,7 +13,12 @@ class BranchTargetBuffer:
     are instruction PCs.
     """
 
-    def __init__(self, num_entries: int = 4096, associativity: int = 4) -> None:
+    #: Table 2's associativity, which every simulator's BTB uses.
+    DEFAULT_WAYS = 4
+
+    def __init__(
+        self, num_entries: int = 4096, associativity: int = DEFAULT_WAYS
+    ) -> None:
         if num_entries % associativity:
             raise ValueError("entries must divide evenly into ways")
         self.num_sets = num_entries // associativity

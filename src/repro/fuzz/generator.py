@@ -62,11 +62,14 @@ from repro.isa.instructions import Condition
 from repro.program.memory import Memory
 from repro.program.program import Program
 from repro.workloads import behaviors
-from repro.workloads.generator import Workload, _ArrayAllocator, _emit_work
-
-#: Data arrays live where the workload suite puts them.
-_DATA_BASE = 1_000_000
-_HEAP_BASE = 50_000_000
+from repro.workloads.generator import (
+    _DATA_BASE,
+    _HEAP_BASE,
+    Workload,
+    _ArrayAllocator,
+    _emit_work,
+    _materialize,
+)
 
 FUZZ_GADGET_KINDS = (
     "hammock",
@@ -245,18 +248,6 @@ def _data_seed(spec: FuzzSpec, index: int, stream: str) -> int:
     return int.from_bytes(
         hashlib.blake2b(tag, digest_size=8).digest(), "big"
     )
-
-
-def _materialize(data: Tuple, length: int, seed: int) -> List[int]:
-    kind = data[0]
-    if kind == "uniform":
-        return behaviors.uniform(length, seed)
-    if kind == "biased":
-        return behaviors.biased(length, seed, taken_fraction=data[1])
-    if kind == "periodic":
-        noise = data[2] if len(data) > 2 else 0.1
-        return behaviors.noisy_periodic(length, seed, data[1], noise=noise)
-    raise ValueError(f"unknown data behaviour {data!r}")
 
 
 class _FuzzBuilder:

@@ -18,8 +18,6 @@ See docs/performance.md for the design and the measured speedups.
 
 from __future__ import annotations
 
-from typing import List
-
 try:  # pragma: no cover - exercised indirectly by the fallback test
     import numpy  # noqa: F401
 

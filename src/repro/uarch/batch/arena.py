@@ -7,8 +7,8 @@ program / per trace and shared by every cell:
 
 * **Program tables** (:class:`ProgramArena`) — the per-block row decode
   of :class:`~repro.uarch.plan.BlockPlan`, padded into rectangular
-  numpy tables, plus successor block ids, perceptron/JRS indices, BTB
-  redirect sites and reconvergence PCs for wrong-path walks.
+  numpy tables, plus successor block ids, branch PCs, BTB redirect
+  sites and reconvergence PCs for wrong-path walks.
 
 * **Trace tables** (:class:`TraceArena`) — for baseline / dual-path
   machines the memory system, store buffer, return-address stack and
@@ -21,18 +21,22 @@ program / per trace and shared by every cell:
   forwarding source, every RAS underflow and the call stack at each
   record — for every cell of that trace at once.
 
-The replays reimplement the LRU/FIFO update rules of
-:mod:`repro.memsys.cache` and :mod:`repro.uarch.storebuffer` in lean
-scalar form; the engine-differential suite (bit-identical ``SimStats``
-against the reference engine) is the guard that they stay
-decision-identical.
+The replay drives the scalar engines' own components —
+:class:`~repro.memsys.hierarchy.CacheHierarchy` (built and L2-warmed by
+:func:`repro.uarch.timing.build_hierarchy`),
+:class:`~repro.uarch.storebuffer.StoreBuffer` and
+:class:`~repro.branch.ras.ReturnAddressStack` — at the default
+:class:`~repro.uarch.config.MachineConfig` geometry, the only one
+``cell_supported`` admits, so every replacement, forwarding and
+underflow decision has one implementation.
 
 The BTB is the one structure a walkless run still updates per cell, but
 only through ``_taken_redirect``: each redirect PC always maps to the
-same target, so as long as no BTB set can overflow (checked statically
-per program) a one-bit "seen" flag per redirect site reproduces every
-hit/miss decision.  Programs that could evict fall back to the fast
-engine.
+same target, so as long as no BTB set can overflow (checked per program
+by filling a default :class:`~repro.branch.btb.BranchTargetBuffer` with
+every redirect site) a one-bit "seen" flag per redirect site reproduces
+every hit/miss decision.  Programs that could evict fall back to the
+fast engine.
 """
 
 from __future__ import annotations
@@ -42,8 +46,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.branch.btb import BranchTargetBuffer
+from repro.branch.ras import ReturnAddressStack
 from repro.cfg.analysis import ProgramAnalysis
+from repro.uarch.config import MachineConfig
 from repro.uarch.plan import (
+    KIND_ALU,
     KIND_LOAD,
     KIND_STORE,
     TERM_BR,
@@ -51,6 +59,8 @@ from repro.uarch.plan import (
     TERM_JMP,
     TERM_RET,
 )
+from repro.uarch.storebuffer import ForwardDecision, StoreBuffer
+from repro.uarch.timing import build_hierarchy
 
 #: Architectural register file size plus the two synthetic columns the
 #: engine routes padded reads/writes through: ``ZREG`` always reads 0
@@ -69,19 +79,6 @@ JREG = NUM_ARCH_REGS + 1
 NO_PC = -1
 NO_RECONV = -1
 NO_UPC = -3
-
-#: Fixed Table 2 geometry the trace replay assumes (enforced by the
-#: engine's eligibility check).  Sizes are in cache *lines* of 8 words.
-_L1I_SETS, _L1I_WAYS, _L1I_LAT = 512, 2, 2
-_L1D_SETS, _L1D_WAYS, _L1D_LAT = 256, 4, 2
-_L2_SETS, _L2_WAYS, _L2_LAT = 2048, 8, 10
-_MEM_LAT = 300
-_LINE_WORDS = 8
-_SB_CAPACITY = 128
-_RAS_DEPTH = 64
-_BTB_SETS, _BTB_WAYS = 1024, 4
-_PERCEPTRONS = 1021
-_HISTORY_BITS = 31
 
 
 class ProgramArena:
@@ -125,12 +122,9 @@ class ProgramArena:
         self.TARGET = np.full(n, -1, np.int64)
         self.CALLEE = np.full(n, -1, np.int64)
         self.SITE = np.full(n, -1, np.int64)
-        self.PCT = np.zeros(n, np.int64)
-        self.JPC = np.zeros(n, np.int64)
-        #: Raw terminating-branch PC for BR blocks (-1 otherwise): the
-        #: diverge-hint table is keyed by the branch instruction's PC,
-        #: which ``JPC`` (already shifted for the JRS index) cannot
-        #: recover.
+        #: Terminating-branch PC for BR blocks (-1 otherwise): the
+        #: engine derives the perceptron and JRS indices from it, and
+        #: the diverge-hint table is keyed by it.
         self.BRPC = np.full(n, -1, np.int64)
         self.RECONV = np.full(n, NO_RECONV, np.int64)
         self.BRLAT = np.zeros(n, np.int64)
@@ -190,8 +184,6 @@ class ProgramArena:
                     sites[pc] = len(sites)
                 self.SITE[b] = sites[pc]
             if is_br:
-                self.PCT[b] = (plan.term_pc >> 2) % _PERCEPTRONS
-                self.JPC[b] = plan.term_pc >> 2
                 self.BRPC[b] = plan.term_pc
                 reconv = analysis.reconvergence_pc(
                     plan.function, plan.block_name
@@ -204,36 +196,14 @@ class ProgramArena:
 
         self.nsites = len(sites)
         # Static BTB no-eviction check: the seen-bit model is exact only
-        # if no set can ever hold more than its ways.
-        per_set: Dict[int, int] = {}
+        # if no set can ever hold more than its ways, i.e. if the default
+        # BTB holds every redirect site at once.
+        btb = BranchTargetBuffer(MachineConfig().btb_entries)
         for pc in sites:
-            s = (pc >> 2) % _BTB_SETS
-            per_set[s] = per_set.get(s, 0) + 1
-            if per_set[s] > _BTB_WAYS:
-                self.vector_ok = False
-                self.reason = "BTB set can overflow (eviction possible)"
-
-
-class _LRU:
-    """One LRU cache level as insertion-ordered dicts (see Cache)."""
-
-    __slots__ = ("sets", "ways", "nsets")
-
-    def __init__(self, nsets: int, ways: int) -> None:
-        self.nsets = nsets
-        self.ways = ways
-        self.sets: List[dict] = [{} for _ in range(nsets)]
-
-    def access(self, line: int) -> bool:
-        entry_set = self.sets[line % self.nsets]
-        if line in entry_set:
-            del entry_set[line]
-            entry_set[line] = True
-            return True
-        if len(entry_set) >= self.ways:
-            del entry_set[next(iter(entry_set))]
-        entry_set[line] = True
-        return False
+            btb.insert(pc, pc)
+        if any(btb.lookup(pc) is None for pc in sites):
+            self.vector_ok = False
+            self.reason = "BTB set can overflow (eviction possible)"
 
 
 class TraceArena:
@@ -242,131 +212,111 @@ class TraceArena:
     def __init__(self, parena: ProgramArena, program, trace,
                  warm_words) -> None:
         records = trace.records
-        nrec = len(records)
-        self.nrec = nrec
+        self.nrec = len(records)
         self.instruction_count = trace.instruction_count
 
-        self.RBLK = np.zeros(nrec, np.int64)
-        self.REXTRA = np.zeros(nrec, np.int64)
-        self.RTAKEN = np.zeros(nrec, np.int64)
-        self.RSEQ0 = np.zeros(nrec, np.int64)
-        self.RL0 = np.zeros(nrec, np.int64)
-        self.RS0 = np.zeros(nrec, np.int64)
-        self.RUNDER = np.zeros(nrec, np.int64)
-        self.RNODE = np.full(nrec, -1, np.int64)
-        self.RFPC = np.full(nrec, NO_PC, np.int64)
+        # The default machine's components, built as every simulator
+        # builds them (cell_supported admits no other geometry).
+        config = MachineConfig()
+        hierarchy = build_hierarchy(config, warm_words)
+        inst_access = hierarchy.inst_access
+        data_access = hierarchy.data_access
+        l1i_latency = hierarchy.l1i.latency
+        store_buffer = StoreBuffer(config.store_buffer_size)
+        sb_lookup = store_buffer.lookup
+        sb_insert = store_buffer.insert
+        forward_code = ForwardDecision.FORWARD
+        ras = ReturnAddressStack(config.ras_depth)
 
-        l1i = _LRU(_L1I_SETS, _L1I_WAYS)
-        l1d = _LRU(_L1D_SETS, _L1D_WAYS)
-        l2 = _LRU(_L2_SETS, _L2_WAYS)
-        if warm_words:
-            for address in warm_words:
-                l2.access(address // _LINE_WORDS)
+        gid = parena.gid
+        TERM = parena.TERM.tolist()
+        FALL = parena.FALL.tolist()
+        FPC = parena.FPC.tolist()
+        NROWS = parena.NROWS.tolist()
+        # Each block's memory rows in order, paired with the record's
+        # addresses the way the scalar fetch loop consumes them.
+        MEMK = [
+            tuple(row[0] for row in rows if row[0] != KIND_ALU)
+            for rows in parena.ROWS
+        ]
 
-        # Store buffer FIFO of (address, local ordinal); per-address
-        # buckets searched youngest-first, exactly like StoreBuffer.
-        fifo: List[Tuple[int, int]] = []
-        by_addr: Dict[int, List[int]] = {}
-        fifo_head = 0  # logical popleft via index (amortized rebuild)
-
-        ras_len = 0
+        rblk: List[int] = []
+        rextra: List[int] = []
+        rtaken: List[int] = []
+        rseq0: List[int] = []
+        rl0: List[int] = []
+        rs0: List[int] = []
+        runder: List[int] = []
+        rnode: List[int] = []
+        load_lat: List[int] = []
+        load_fwd: List[int] = []
         node_parent: List[int] = []
         node_ret: List[int] = []
         node = -1
-
-        load_lat: List[int] = []
-        load_fwd: List[int] = []
-        gid = parena.gid
-        TERM = parena.TERM
-        FALL = parena.FALL
         seq = 0
         nstores = 0
 
-        for r, record in enumerate(records):
+        for record in records:
             b = gid[(record.function, record.block.name)]
-            self.RBLK[r] = b
-            self.RSEQ0[r] = seq
-            self.RL0[r] = len(load_lat)
-            self.RS0[r] = nstores
-            self.RNODE[r] = node
-            fpc = parena.FPC[b]
-            self.RFPC[r] = fpc
-            if record.taken:
-                self.RTAKEN[r] = 1
+            rblk.append(b)
+            rseq0.append(seq)
+            rl0.append(len(load_lat))
+            rs0.append(nstores)
+            rnode.append(node)
+            rtaken.append(1 if record.taken else 0)
+            # _icache_fetch(first_pc).
+            rextra.append(inst_access(FPC[b] // 8) - l1i_latency)
 
-            # _icache_fetch(first_pc): inst_access(pc // 8).
-            line = (fpc // _LINE_WORDS) // _LINE_WORDS
-            if l1i.access(line):
-                extra = 0
-            elif l2.access(line):
-                extra = _L2_LAT
-            else:
-                extra = _L2_LAT + _MEM_LAT
-            self.REXTRA[r] = extra
-
-            term = TERM[b]
-            nbody = int(parena.NBODY[b])
-            mem_addrs = record.mem_addrs
-            mem_pos = 0
-            for i in range(nbody):
-                kind = parena.RKIND[b, i]
+            # Stores enter the buffer with their trace ordinal as the
+            # sequence number, so every buffered store is older than
+            # the load looking it up; a forwarded load records its
+            # source store, whose ready time is per cell.
+            for kind, address in zip(MEMK[b], record.mem_addrs):
                 if kind == KIND_LOAD:
-                    address = mem_addrs[mem_pos]
-                    mem_pos += 1
-                    bucket = by_addr.get(address)
-                    fwd = bucket[-1] if bucket else -1
-                    if fwd >= 0:
-                        load_fwd.append(fwd)
+                    forward = sb_lookup(address, nstores)
+                    if forward.decision == forward_code:
+                        load_fwd.append(forward.entry.seq)
                         load_lat.append(0)
                     else:
                         load_fwd.append(-1)
-                        dline = address // _LINE_WORDS
-                        if l1d.access(dline):
-                            lat = _L1D_LAT
-                        elif l2.access(dline):
-                            lat = _L1D_LAT + _L2_LAT
-                        else:
-                            lat = _L1D_LAT + _L2_LAT + _MEM_LAT
-                        load_lat.append(lat)
-                elif kind == KIND_STORE:
-                    address = mem_addrs[mem_pos]
-                    mem_pos += 1
-                    if len(fifo) - fifo_head >= _SB_CAPACITY:
-                        evicted_addr, evicted_ord = fifo[fifo_head]
-                        fifo_head += 1
-                        ebucket = by_addr[evicted_addr]
-                        ebucket.remove(evicted_ord)
-                        if not ebucket:
-                            del by_addr[evicted_addr]
-                        if fifo_head > 4096:
-                            del fifo[:fifo_head]
-                            fifo_head = 0
-                    fifo.append((address, nstores))
-                    by_addr.setdefault(address, []).append(nstores)
+                        load_lat.append(data_access(address))
+                else:
+                    sb_insert(address, nstores, 0)
                     nstores += 1
-            seq += int(parena.NROWS[b])  # the BR terminator retires too
+            seq += NROWS[b]  # the BR terminator retires too
 
+            term = TERM[b]
+            under = 0
             if term == TERM_CALL:
-                if FALL[b] >= 0:
-                    if ras_len < _RAS_DEPTH:
-                        ras_len += 1
+                fall = FALL[b]
+                if fall >= 0:
+                    ras.push(FPC[fall])
                     node_parent.append(node)
-                    node_ret.append(int(FALL[b]))
+                    node_ret.append(fall)
                     node = len(node_parent) - 1
             elif term == TERM_RET:
                 if node >= 0:
                     node = node_parent[node]
-                if ras_len == 0:
-                    self.RUNDER[r] = 1
-                else:
-                    ras_len -= 1
+                if ras.pop() is None:
+                    under = 1
+            runder.append(under)
 
-        self.LLAT = np.asarray(load_lat, np.int64)
-        self.LFWD = np.asarray(load_fwd, np.int64)
+        i8 = np.int64
+        self.RBLK = np.asarray(rblk, i8)
+        self.REXTRA = np.asarray(rextra, i8)
+        self.RTAKEN = np.asarray(rtaken, i8)
+        self.RSEQ0 = np.asarray(rseq0, i8)
+        self.RL0 = np.asarray(rl0, i8)
+        self.RS0 = np.asarray(rs0, i8)
+        self.RUNDER = np.asarray(runder, i8)
+        self.RNODE = np.asarray(rnode, i8)
+        self.RFPC = parena.FPC[self.RBLK]
+        self.LLAT = np.asarray(load_lat, i8)
+        self.LFWD = np.asarray(load_fwd, i8)
         self.nloads = len(load_lat)
         self.nstores = nstores
-        self.NODEPAR = np.asarray(node_parent, np.int64)
-        self.NODERET = np.asarray(node_ret, np.int64)
+        self.NODEPAR = np.asarray(node_parent, i8)
+        self.NODERET = np.asarray(node_ret, i8)
         self.nnodes = len(node_parent)
 
 

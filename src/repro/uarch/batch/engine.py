@@ -44,6 +44,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.branch import make_predictor
+from repro.confidence import make_estimator
 from repro.uarch.batch.arena import (
     JREG,
     NO_UPC,
@@ -63,19 +65,25 @@ from repro.uarch.plan import (
     TERM_NONE,
     TERM_RET,
 )
+from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 
-#: Perceptron constants for the default predictor instance the vector
-#: path supports (``make_predictor("perceptron")`` with no overrides).
-_NPERC = 1021
-_HBITS = 31
-_THETA = int(1.93 * _HBITS + 14)  # 73
-_WMAX, _WMIN = 127, -128
+#: The default machine: ``cell_supported`` admits no other predictor,
+#: estimator, BTB, RAS, store-buffer or memory geometry.
+_DEFAULT = MachineConfig()
+#: Table geometry of the one predictor and estimator the vector path
+#: supports, read off the scalar instances that own it.
+_P = make_predictor("perceptron")
+_NPERC = _P.num_perceptrons
+_HBITS = _P.history_bits
+_THETA = _P.theta
+_WMAX, _WMIN = _P._weight_max, _P._weight_min
 _M31 = (1 << _HBITS) - 1
-#: JRS constants (``make_estimator("jrs")`` table geometry).
-_JTAB = 2048
-_JMAX = 15
-_JHMASK = 0xF
+_J = make_estimator("jrs")
+_JTAB = _J.table_size
+_JMAX = _J.counter_max
+_JHMASK = (1 << _J.history_bits) - 1
+del _P, _J
 #: Walk block guard, mirroring ``_walk_wrong_path_fast``.
 _WALK_GUARD = 10_000
 #: Lookahead window for the control-independence classification.
@@ -327,6 +335,9 @@ class _WalkPath:
         #: of a config grid frequently collide on it.
         self.replays: Dict[tuple, Tuple[int, int, int]] = {}
 
+    def wrow(self, idx: int) -> List[int]:
+        return self.weights[idx].tolist()
+
 
 class BatchCell:
     """One (program, trace, config) simulation the batch engine runs."""
@@ -387,11 +398,13 @@ def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
         set(config.confidence_args) - {"threshold"}
     ):
         return False, "non-default confidence estimator"
-    if config.btb_entries != 4096 or config.ras_depth != 64:
+    if (config.btb_entries != _DEFAULT.btb_entries
+            or config.ras_depth != _DEFAULT.ras_depth):
         return False, "non-default BTB/RAS geometry"
-    if config.store_buffer_size != 128:
+    if config.store_buffer_size != _DEFAULT.store_buffer_size:
         return False, "non-default store buffer"
-    if config.memory_latency != 300 or config.prefetch_lines != 0:
+    if (config.memory_latency != _DEFAULT.memory_latency
+            or config.prefetch_lines != _DEFAULT.prefetch_lines):
         return False, "non-default memory system"
     parena = program_arena(cell.program)
     if not parena.vector_ok:
@@ -485,13 +498,6 @@ def run_batch(
             profile.get("scalar_fallback", 0.0) + fb_time
         )
     return results  # type: ignore[return-value]
-
-
-def _jrs_threshold(config) -> int:
-    threshold = config.confidence_args.get("threshold", 12)
-    if threshold is None:
-        return _JMAX
-    return min(threshold, _JMAX)
 
 
 class _Group:
@@ -593,9 +599,11 @@ class _Group:
         self.TARGET = cat_gid("TARGET")
         self.CALLEE = cat_gid("CALLEE")
         self.SITE = cat1("SITE", -1)
-        self.PCT = cat1("PCT")
-        self.JPC = cat1("JPC")
         self.BRPC = cat1("BRPC", -1)
+        # Perceptron and JRS PC indices of each block's branch.
+        isbrpc = self.BRPC >= 0
+        self.PCT = np.where(isbrpc, (self.BRPC >> 2) % _NPERC, 0)
+        self.JPC = np.where(isbrpc, self.BRPC >> 2, 0)
         self.RECONV = cat1("RECONV")
         self.BRLAT = cat1("BRLAT")
         self.BRSRC = np.full((nblk, K), ZREG, i8)
@@ -694,7 +702,10 @@ class _Group:
             [c.mode in ("dmp", "dhp") for c in cfg], bool
         )
         self.anydp = bool(self.ispred.any())
-        self.thresh = np.array([_jrs_threshold(c) for c in cfg], i8)
+        self.thresh = np.array(
+            [make_estimator("jrs", **c.confidence_args).threshold
+             for c in cfg], i8
+        )
         self.boffs, self.roffs, self.rends = boffs, roffs, rends
         self.loffs, self.noffs = loffs, noffs
 
@@ -1525,6 +1536,39 @@ class _Group:
             out += row[j + 1] if (ghr >> j) & 1 else -row[j + 1]
         return out
 
+    def _static_step(self, cur: int, ghr: int, wrow, local: List[int],
+                     node: int) -> Tuple[int, int, bool, int]:
+        """One block of a predictor-directed static walk from ``cur``:
+        the successor rule of ``_walk_wrong_path_fast``, shared by the
+        wrong-path walks and the episodes' static paths.  A conditional
+        branch is predicted (weights row ``wrow(index)``) and shifts the
+        history; a taken branch, JMP, CALL or RET ends the fetch cycle
+        (``bump``); CALL pushes its fall-through block on ``local``, RET
+        pops it, falling back to the architectural call context
+        ``node``.  Returns ``(next block or -1, ghr, bump, node)``."""
+        term = self.pTERM[cur]
+        if term == TERM_BR:
+            taken = self._scalar_predict(wrow(self.pPCT[cur]), ghr) >= 0
+            ghr = ((ghr << 1) | taken) & _M31
+            if taken:
+                return self.pTAKEN[cur], ghr, True, node
+            return self.pFALL[cur], ghr, False, node
+        if term == TERM_NONE:
+            return self.pFALL[cur], ghr, False, node
+        if term == TERM_JMP:
+            return self.pTARGET[cur], ghr, True, node
+        if term == TERM_CALL:
+            fall = self.pFALL[cur]
+            if fall >= 0:
+                local.append(fall)
+            return self.pCALLEE[cur], ghr, True, node
+        # TERM_RET
+        if local:
+            return local.pop(), ghr, True, node
+        if node >= 0:
+            return self.pNODERET[node], ghr, True, self.pNODEPAR[node]
+        return -1, ghr, True, node
+
     def _extend_path(self, path: _WalkPath) -> bool:
         """Append one structural block to ``path``; False when the walk
         is exhausted (dead end or guard).  Mirrors the control-flow half
@@ -1540,42 +1584,13 @@ class _Group:
             fpc = self.pFPC[cur]
             if fpc == path.reconv or fpc in path.upcoming:
                 path.reached = True
-        nr = self.pNROWS[cur]
-        term = self.pTERM[cur]
-        isbr = term == TERM_BR
-        bump = False
-        if isbr:
-            out = self._scalar_predict(
-                path.weights[self.pPCT[cur]].tolist(), path.ghr
-            )
-            pr = out >= 0
-            path.ghr = ((path.ghr << 1) | pr) & _M31
-            if pr:
-                bump = True
-                cur = self.pTAKEN[cur]
-            else:
-                cur = self.pFALL[cur]
-        elif term == TERM_NONE:
-            cur = self.pFALL[cur]
-        else:
-            bump = True
-            if term == TERM_JMP:
-                cur = self.pTARGET[cur]
-            elif term == TERM_CALL:
-                fall = self.pFALL[cur]
-                if fall >= 0:
-                    path.local.append(fall)
-                cur = self.pCALLEE[cur]
-            else:  # TERM_RET
-                if path.local:
-                    cur = path.local.pop()
-                elif path.node >= 0:
-                    cur = self.pNODERET[path.node]
-                    path.node = self.pNODEPAR[path.node]
-                else:
-                    cur = -1
-        path.cur = cur
-        path.blocks.append((nr, isbr, bump, path.reached))
+        path.cur, path.ghr, bump, path.node = self._static_step(
+            cur, path.ghr, path.wrow, path.local, path.node
+        )
+        path.blocks.append((
+            self.pNROWS[cur], self.pTERM[cur] == TERM_BR, bump,
+            path.reached,
+        ))
         return True
 
     def _scalar_walk(self, ci: int, start: int, until: int, reconv: int,

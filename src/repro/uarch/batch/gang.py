@@ -54,8 +54,6 @@ from repro.uarch.batch.engine import (
 )
 from repro.uarch.plan import (
     TERM_BR,
-    TERM_CALL,
-    TERM_JMP,
     TERM_NONE,
     TERM_RET,
 )
@@ -336,37 +334,9 @@ class EpisodeGang:
             sk.term = _P_CFM
             return
         nr = G.pNROWS[cur]
-        term = G.pTERM[cur]
-        ghr = sk.ghr
-        bump = False
-        if term == TERM_BR:
-            out = G._scalar_predict(self._wrow(G.pPCT[cur]), ghr)
-            prd = out >= 0
-            ghr = ((ghr << 1) | (1 if prd else 0)) & _M31
-            if prd:
-                bump = True  # taken ends the cycle
-                nxt = G.pTAKEN[cur]
-            else:
-                nxt = G.pFALL[cur]
-        elif term == TERM_NONE:
-            nxt = G.pFALL[cur]
-        else:
-            bump = True  # jmp/call/ret redirect
-            if term == TERM_JMP:
-                nxt = G.pTARGET[cur]
-            elif term == TERM_CALL:
-                fall = G.pFALL[cur]
-                if fall >= 0:
-                    sk.local.append(fall)
-                nxt = G.pCALLEE[cur]
-            else:  # TERM_RET
-                if sk.local:
-                    nxt = sk.local.pop()
-                elif sk.node >= 0:
-                    nxt = G.pNODERET[sk.node]
-                    sk.node = G.pNODEPAR[sk.node]
-                else:
-                    nxt = -1
+        nxt, ghr, bump, sk.node = G._static_step(
+            cur, sk.ghr, self._wrow, sk.local, sk.node
+        )
         sk.steps.append((cur, nr, bump))
         sk.cum.append((sk.cum[-1] if sk.cum else 0) + nr)
         sk.ghr_after.append(ghr)

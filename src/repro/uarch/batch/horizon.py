@@ -163,14 +163,14 @@ class ExtendedArena:
     its span macro blocks (ids ``parena.n ..``).  Macro decode rows are
     the constituent blocks' rows concatenated with cumulatively
     renumbered load/store ordinals; terminator-side tables (successors,
-    predictor indices, branch sources, reconvergence) come from the
+    branch PC, branch sources, reconvergence) come from the
     final block, the first-PC from the first.  The engine concatenates
     these views exactly like raw arenas."""
 
     __slots__ = (
         "n", "L", "K", "nsites", "ROWS",
         "NROWS", "NBODY", "FPC", "TERM", "TAKEN", "FALL", "TARGET",
-        "CALLEE", "SITE", "PCT", "JPC", "BRPC", "RECONV", "BRLAT",
+        "CALLEE", "SITE", "BRPC", "RECONV", "BRLAT",
         "BRSRC", "RKIND", "RLAT", "RDEST", "RSRC", "RLORD", "RSTORD",
     )
 
@@ -220,8 +220,6 @@ class ExtendedArena:
         self.TARGET = ext1(pa.TARGET, -1)
         self.CALLEE = ext1(pa.CALLEE, -1)
         self.SITE = ext1(pa.SITE, -1)
-        self.PCT = ext1(pa.PCT)
-        self.JPC = ext1(pa.JPC)
         self.BRPC = ext1(pa.BRPC, -1)
         self.RECONV = ext1(pa.RECONV, -1)
         self.BRLAT = ext1(pa.BRLAT)
@@ -255,8 +253,6 @@ class ExtendedArena:
             self.TARGET[gb] = pa.TARGET[last]
             self.CALLEE[gb] = pa.CALLEE[last]
             self.SITE[gb] = pa.SITE[last]
-            self.PCT[gb] = pa.PCT[last]
-            self.JPC[gb] = pa.JPC[last]
             self.BRPC[gb] = pa.BRPC[last]
             self.RECONV[gb] = pa.RECONV[last]
             self.BRLAT[gb] = pa.BRLAT[last]

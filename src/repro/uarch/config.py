@@ -14,6 +14,19 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+from repro.branch.btb import BranchTargetBuffer
+
+#: Sizes a machine needs at least one of, and latencies and budgets
+#: that may be zero but not negative.
+_POSITIVE = (
+    "fetch_width", "rob_size", "retire_width", "max_branches_per_cycle",
+    "store_buffer_size", "ras_depth", "btb_entries", "dpred_path_limit",
+)
+_NON_NEGATIVE = (
+    "pipeline_depth", "memory_latency", "prefetch_lines",
+    "early_exit_default_threshold", "max_nested_diverge",
+)
+
 #: Valid front-end policies.  ``"mpp"`` is hint-free DMP: the same
 #: dynamic-predication engine, with the CFM points learned at run time
 #: by the dynamic merge-point predictor instead of supplied by the
@@ -142,8 +155,22 @@ class MachineConfig:
                 f"engine must be 'fast', 'reference' or 'batch', "
                 f"got {self.engine!r}"
             )
-        if self.fetch_width <= 0 or self.rob_size <= 0:
-            raise ValueError("widths and sizes must be positive")
+        for name in _POSITIVE:
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {getattr(self, name)}"
+                )
+        ways = BranchTargetBuffer.DEFAULT_WAYS
+        if self.btb_entries % ways:
+            raise ValueError(
+                f"btb_entries must divide into the BTB's {ways} ways, "
+                f"got {self.btb_entries}"
+            )
         if (
             self.merge_table_entries <= 0
             or self.merge_max_candidates <= 0

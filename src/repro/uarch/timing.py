@@ -82,6 +82,26 @@ class BranchContext:
         return self.prediction.taken != self.actual
 
 
+def build_hierarchy(config: MachineConfig, warm_words=None) -> CacheHierarchy:
+    """The cache hierarchy a simulator of ``config`` starts from.
+
+    ``warm_words`` pre-loads the benchmark's initialized data into the
+    L2: SPEC working sets are largely cache-resident after warmup, and
+    the paper's runs skip initialization.  Footprints larger than the
+    L2 (the pointer-chasing benchmarks) still miss by capacity.  The
+    warm-up accesses are not counted."""
+    hierarchy = CacheHierarchy(
+        memory=MainMemory(latency=config.memory_latency),
+        prefetch_lines=config.prefetch_lines,
+    )
+    if warm_words is not None:
+        for address in warm_words:
+            hierarchy.l2.access(address)
+        hierarchy.l2.hits = 0
+        hierarchy.l2.misses = 0
+    return hierarchy
+
+
 class TimingSimulator:
     """Drives one benchmark trace through one machine configuration."""
 
@@ -134,19 +154,7 @@ class TimingSimulator:
                 confidence=self.confidence.describe(),
             )
         # Memory system
-        self.hierarchy = CacheHierarchy(
-            memory=MainMemory(latency=self.config.memory_latency),
-            prefetch_lines=self.config.prefetch_lines,
-        )
-        if warm_words is not None:
-            # Pre-load the benchmark's initialized data into the L2: SPEC
-            # working sets are largely cache-resident after warmup, and the
-            # paper's runs skip initialization.  Footprints larger than the
-            # L2 (the pointer-chasing benchmarks) still miss by capacity.
-            for address in warm_words:
-                self.hierarchy.l2.access(address)
-            self.hierarchy.l2.hits = 0
-            self.hierarchy.l2.misses = 0
+        self.hierarchy = build_hierarchy(self.config, warm_words)
         # Renaming / dependence state
         self.rat = RegisterAliasTable()
         self.reg_ready: List[int] = [0] * NUM_ARCH_REGS

@@ -14,7 +14,13 @@ import dataclasses
 
 import pytest
 
+from repro.branch.btb import BranchTargetBuffer
+from repro.cfg.builder import CFGBuilder
+from repro.core.processors import simulate
 from repro.harness.experiment import BenchmarkContext, run_suite
+from repro.program.interpreter import Interpreter
+from repro.program.memory import Memory
+from repro.program.program import Program
 from repro.uarch.batch import (
     BatchCell,
     batch_supported,
@@ -106,10 +112,14 @@ def test_mixed_mode_grid_bit_identical():
     alternate GHR policy, tight path limits) plus sizing variants —
     episodes must not leak into neighbouring lanes through the shared
     tables, and every dpred counter (entries, exit cases, select/extra
-    uops, predicated-false fetches, load predicate waits) must match."""
+    uops, predicated-false fetches, load predicate waits) must match.
+    The JRS thresholds cover one the estimator clamps to its counter
+    ceiling and one well below the default."""
     grid = [
         MachineConfig.dmp(),
         MachineConfig.dmp(multiple_cfm=True),
+        MachineConfig.dmp(confidence_args={"threshold": 20}),
+        MachineConfig.dmp(confidence_args={"threshold": 6}),
         MachineConfig.dmp(rob_size=16, fetch_width=8),
         MachineConfig.dmp(dpred_ghr_policy="alternate"),
         MachineConfig.dmp(dpred_path_limit=24),
@@ -227,6 +237,59 @@ def test_cell_supported_reports_reasons():
         _cell(ctx, MachineConfig.baseline().hardened())
     )
     assert not ok
+
+    # Geometry the trace replay and the vector predictor tables do not
+    # cover; the JRS threshold alone is per-lane state.
+    for overrides, expected in (
+        ({"btb_entries": 2048}, "BTB/RAS"),
+        ({"ras_depth": 16}, "BTB/RAS"),
+        ({"store_buffer_size": 64}, "store buffer"),
+        ({"memory_latency": 200}, "memory system"),
+        ({"prefetch_lines": 2}, "memory system"),
+        ({"predictor_args": {"history_bits": 24}}, "direction predictor"),
+        ({"confidence_args": {"history_bits": 12}}, "confidence"),
+        ({"confidence_args": {"threshold": 8, "table_size": 1024}},
+         "confidence"),
+    ):
+        ok, reason = cell_supported(
+            _cell(ctx, MachineConfig.baseline(**overrides))
+        )
+        assert not ok and expected in reason, (overrides, reason)
+    ok, reason = cell_supported(
+        _cell(ctx, MachineConfig.dmp(confidence_args={"threshold": 20}))
+    )
+    assert ok, reason
+
+
+@pytest.mark.skipif(not batch_supported(), reason="numpy unavailable")
+@pytest.mark.parametrize("extra_sites", (0, 1))
+def test_btb_set_overflow_falls_back(extra_sites):
+    """The seen-bit BTB is exact only while every redirect site fits in
+    its set: jumps one BTB set's worth of instructions apart all land in
+    one set, so one site more than its ways takes the fallback.  Both
+    sides of the line match the reference."""
+    ways = BranchTargetBuffer.DEFAULT_WAYS
+    sets = MachineConfig().btb_entries // ways
+    sites = ways + extra_sites
+    builder = CFGBuilder("main")
+    for i in range(sites):
+        block = builder.block(f"b{i}")
+        for _ in range(sets - 1):
+            block.addi(1, 1, 1)
+        block.jmp(f"b{i + 1}")
+    builder.block(f"b{sites}").halt()
+    program = Program("btb-set")
+    program.add_function(builder.build())
+    program.seal()
+    trace = Interpreter(program, memory=Memory()).run()
+    cell = BatchCell(program, trace, MachineConfig(engine="batch"))
+    ok, reason = cell_supported(cell)
+    assert ok == (not extra_sites), reason
+    if extra_sites:
+        assert "BTB set can overflow" in reason
+    (got,) = run_batch([cell])
+    ref = simulate(program, trace, MachineConfig(engine="reference"))
+    assert dataclasses.asdict(got) == dataclasses.asdict(ref)
 
 
 def test_run_suite_batch_executor_matches_serial():

@@ -1,6 +1,7 @@
 """Tests for the Section 2.7.4 extensions: diverge loop branches, the
 nested multiple-diverge policy, and the selective predictor update."""
 
+import dataclasses
 import random
 
 import pytest
@@ -196,7 +197,7 @@ def nested_hammocks_program(values_outer, values_inner):
 
 
 class TestNestedMultipleDiverge:
-    def _run(self, policy):
+    def _run(self, policy, engine="fast", hardened=False):
         rng = random.Random(5)
         outer = [1 if rng.random() < 0.10 else 0 for _ in range(400)]
         inner = [rng.randrange(2) for _ in range(400)]
@@ -218,7 +219,10 @@ class TestNestedMultipleDiverge:
             confidence_kind="never",
             multiple_diverge=True,
             multiple_diverge_policy=policy,
+            engine=engine,
         )
+        if hardened:
+            config = config.hardened()
         sim = PredicationAwareSimulator(
             program, trace, config, hints=hints,
             warm_words=list(range(1000, 1400)) + list(range(3000, 3400)),
@@ -243,6 +247,20 @@ class TestNestedMultipleDiverge:
                 + stats.exit_cases[ExitCase.CONTINUE_ALTERNATE]
             )
             assert saved > 0, policy
+
+    @pytest.mark.parametrize("policy", ("nested", "restart"))
+    def test_engines_agree_hardened(self, policy):
+        """No benchmark opens a nested episode, so this program is the
+        only differential coverage of nesting and restarts: the fast
+        engine must match the reference with the oracle armed."""
+        ref = self._run(policy, engine="reference", hardened=True)
+        fast = self._run(policy, engine="fast", hardened=True)
+        assert ref.oracle_checks > 0
+        if policy == "nested":
+            assert ref.nested_episodes > 0
+        else:
+            assert ref.dpred_restarts > 0
+        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

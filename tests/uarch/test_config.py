@@ -22,9 +22,37 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(mode="warp")
 
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            MachineConfig(fetch_width=0)
+    @pytest.mark.parametrize("overrides", [
+        {"fetch_width": 0},
+        {"rob_size": 0},
+        {"retire_width": 0},
+        {"max_branches_per_cycle": 0},
+        {"store_buffer_size": 0},
+        {"ras_depth": 0},
+        {"btb_entries": 0},
+        {"btb_entries": 4095},
+        {"dpred_path_limit": 0},
+        {"dpred_path_limit": -1},
+        {"pipeline_depth": -5},
+        {"memory_latency": -300},
+        {"prefetch_lines": -1},
+        {"early_exit_default_threshold": -1},
+        {"max_nested_diverge": -1},
+    ])
+    def test_size_validation(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=name):
+            MachineConfig(**overrides)
+
+    def test_size_lower_bounds_accepted(self):
+        bounds = dict(
+            retire_width=1, max_branches_per_cycle=1, store_buffer_size=1,
+            ras_depth=1, btb_entries=4, dpred_path_limit=1,
+            pipeline_depth=0, memory_latency=0, prefetch_lines=0,
+            early_exit_default_threshold=0, max_nested_diverge=0,
+        )
+        config = MachineConfig(**bounds)
+        assert {name: getattr(config, name) for name in bounds} == bounds
 
     def test_dmp_factory_basic(self):
         config = MachineConfig.dmp()
