@@ -39,12 +39,13 @@ contents, RAS underflows, the architectural call context).
 
 from __future__ import annotations
 
+import inspect
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.branch import make_predictor
+from repro.branch.perceptron import PerceptronPredictor
 from repro.confidence import make_estimator
 from repro.uarch.batch.arena import (
     JREG,
@@ -72,9 +73,15 @@ from repro.uarch.stats import SimStats
 #: estimator, BTB, RAS, store-buffer or memory geometry.
 _DEFAULT = MachineConfig()
 #: Table geometry of the one predictor and estimator the vector path
-#: supports, read off the scalar instances that own it.
-_P = make_predictor("perceptron")
-_NPERC = _P.num_perceptrons
+#: supports, read off the scalar classes that own it.  The perceptron
+#: count is the constructor default and a one-perceptron instance
+#: carries the derived values.  Building the default 1021-row table at
+#: import (~2000 containers, freed at once) raised the peak RSS of a
+#: later scalar suite run in the same process by about 1 MB.
+_NPERC = inspect.signature(PerceptronPredictor).parameters[
+    "num_perceptrons"
+].default
+_P = PerceptronPredictor(num_perceptrons=1)
 _HBITS = _P.history_bits
 _THETA = _P.theta
 _WMAX, _WMIN = _P._weight_max, _P._weight_min
