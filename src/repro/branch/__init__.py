@@ -2,9 +2,11 @@
 
 The paper's baseline front end uses a 64KB perceptron predictor
 (Jiménez & Lin), a 4K-entry BTB, a 64-entry return address stack and an
-indirect target cache (Table 2).  All of those are implemented here, plus
-the simpler bimodal/gshare/hybrid predictors used for ablations and a
-perfect predictor for the ``perfect-cbp`` series of Figure 7.
+indirect target cache (Table 2).  All but the last are implemented here —
+the mini-ISA's only indirect transfer is RET, which the return address
+stack predicts — plus the simpler bimodal/gshare/hybrid predictors used
+for ablations and a perfect predictor for the ``perfect-cbp`` series of
+Figure 7.
 
 Every direction predictor shares the :class:`~repro.branch.base.BranchPredictor`
 interface: ``predict`` returns a :class:`~repro.branch.base.Prediction`
@@ -23,7 +25,6 @@ from repro.branch.perceptron import PerceptronPredictor
 from repro.branch.perfect import PerfectPredictor
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.ras import ReturnAddressStack
-from repro.branch.indirect import IndirectTargetCache
 
 __all__ = [
     "BranchPredictor",
@@ -36,7 +37,6 @@ __all__ = [
     "PerfectPredictor",
     "BranchTargetBuffer",
     "ReturnAddressStack",
-    "IndirectTargetCache",
 ]
 
 

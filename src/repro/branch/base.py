@@ -9,10 +9,11 @@ from typing import Optional
 class GlobalHistory:
     """A fixed-width global branch history register (GHR).
 
-    Stored as an integer bit-vector, newest outcome in bit 0.  Supports the
-    checkpoint/restore protocol DMP uses: the GHR is checkpointed before
-    entering dynamic-predication mode and variants of it are installed on
-    the predicted and alternate paths (the last bit set for the taken path,
+    Stored as an integer bit-vector, newest outcome in bit 0.  The owning
+    :class:`BranchPredictor` shifts it and takes and restores the
+    checkpoints DMP uses: the GHR is checkpointed before entering
+    dynamic-predication mode and variants of it are installed on the
+    predicted and alternate paths (the last bit set for the taken path,
     cleared for the not-taken path — Section 2.3, footnote 6).
     """
 
@@ -24,16 +25,6 @@ class GlobalHistory:
         self.width = width
         self._mask = (1 << width) - 1
         self.bits = bits & self._mask
-
-    def shift(self, taken: bool) -> None:
-        self.bits = ((self.bits << 1) | int(taken)) & self._mask
-
-    def with_last(self, taken: bool) -> int:
-        """The history value with its newest bit forced to ``taken``."""
-        return (self.bits & ~1) | int(taken)
-
-    def snapshot(self) -> int:
-        return self.bits
 
     def restore(self, bits: int) -> None:
         self.bits = bits & self._mask
@@ -99,10 +90,11 @@ class BranchPredictor(abc.ABC):
 
     def spec_update(self, taken: bool) -> None:
         """Shift the predicted direction into the speculative history."""
-        self.history.shift(taken)
+        history = self.history
+        history.bits = ((history.bits << 1) | taken) & history._mask
 
     def snapshot(self) -> int:
-        return self.history.snapshot()
+        return self.history.bits
 
     def restore(self, snap: int) -> None:
         self.history.restore(snap)

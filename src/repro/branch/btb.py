@@ -24,25 +24,27 @@ class BranchTargetBuffer:
         self.num_sets = num_entries // associativity
         self.associativity = associativity
         # Insertion-ordered builtin dicts, oldest entry first (same LRU
-        # order an OrderedDict maintains; see repro.memsys.cache).
-        self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
+        # order an OrderedDict maintains; see repro.memsys.cache), each
+        # created by its set's first insert (None until then).
+        self._sets: List[Optional[Dict[int, int]]] = [None] * self.num_sets
 
     def lookup(self, pc: int) -> Optional[int]:
         """Return the cached target for ``pc``, updating LRU state."""
         entry_set = self._sets[(pc >> 2) % self.num_sets]
+        if entry_set is None:
+            return None
         target = entry_set.get(pc)
         if target is not None:
             del entry_set[pc]
             entry_set[pc] = target
-            self.hits += 1
-            return target
-        self.misses += 1
-        return None
+        return target
 
     def insert(self, pc: int, target: int) -> None:
-        entry_set = self._sets[(pc >> 2) % self.num_sets]
+        index = (pc >> 2) % self.num_sets
+        entry_set = self._sets[index]
+        if entry_set is None:
+            self._sets[index] = {pc: target}
+            return
         if pc in entry_set:
             del entry_set[pc]
             entry_set[pc] = target
@@ -50,8 +52,3 @@ class BranchTargetBuffer:
         if len(entry_set) >= self.associativity:
             del entry_set[next(iter(entry_set))]  # evict LRU
         entry_set[pc] = target
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

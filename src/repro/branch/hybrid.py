@@ -59,9 +59,6 @@ class HybridPredictor(BranchPredictor):
         self.gshare.spec_update(taken)
         self.bimodal.spec_update(taken)
 
-    def snapshot(self) -> int:
-        return self.history.snapshot()
-
     def restore(self, snap: int) -> None:
         super().restore(snap)
         self.gshare.restore(snap)

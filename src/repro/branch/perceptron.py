@@ -9,9 +9,21 @@ config change).
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import add
 from typing import List
 
 from repro.branch.base import BranchPredictor, Prediction
+
+#: Per history byte value, its eight bits LSB first: as 0/1 selector
+#: bytes (the dot product's ``compress``) and as ±1 weight steps
+#: (training's per-weight increments).
+_SELECT = tuple(bytes((b >> i) & 1 for i in range(8)) for b in range(256))
+_STEP = tuple(tuple((b >> i) & 1 or -1 for i in range(8)) for b in range(256))
+_select = _SELECT.__getitem__
+_step = _STEP.__getitem__
+_join = b"".join
+_steps = chain.from_iterable
 
 
 class PerceptronPredictor(BranchPredictor):
@@ -22,6 +34,13 @@ class PerceptronPredictor(BranchPredictor):
     Training bumps weights toward the outcome whenever the prediction was
     wrong or the output magnitude is below the threshold
     θ = ⌊1.93·h + 14⌋.
+
+    Both run at C level over byte-indexed tables.  Row ``i`` is
+    ``[bias, w_1 … w_h]`` and ``_offsets[i]`` is ``bias − Σ w_1…h``, so
+    the output is ``offset + 2·Σ_{set bits} w`` — one ``compress`` of
+    the row by the history shifted past the bias.  Training builds a
+    fresh clamped row rather than mutating one, which lets every
+    untrained perceptron share a single zero row.
     """
 
     def __init__(
@@ -34,75 +53,42 @@ class PerceptronPredictor(BranchPredictor):
         self.num_perceptrons = num_perceptrons
         self.history_bits = history_bits
         self.theta = int(1.93 * history_bits + 14)
-        self._weight_max = (1 << (weight_bits - 1)) - 1
-        self._weight_min = -(1 << (weight_bits - 1))
-        # weights[i][0] is the bias; weights[i][1..h] pair with history bits.
-        self._weights: List[List[int]] = [
-            [0] * (history_bits + 1) for _ in range(num_perceptrons)
-        ]
-        # Memoized dot-product outputs, one ``{history: output}`` dict per
-        # perceptron.  A perceptron's output depends only on its weights
-        # and the history bits, and only :meth:`train` changes weights, so
-        # each memo stays exact until its perceptron trains (the
-        # below-threshold early return leaves it valid).  Loopy traces
-        # re-predict the same (pc, history) pairs constantly; this turns
-        # the 31-term dot product into a dict hit with identical results.
-        self._memo: List[dict] = [{} for _ in range(num_perceptrons)]
-        # Running Σ weights[1..h] per perceptron, kept in sync by train().
-        # With it the dot product needs only the *set* history bits:
-        # bias + Σ w_i·x_i  =  bias − total + 2·Σ_{set bits} w_i.
-        self._totals: List[int] = [0] * num_perceptrons
-
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) % self.num_perceptrons
+        mx = self._weight_max = (1 << (weight_bits - 1)) - 1
+        mn = self._weight_min = -(1 << (weight_bits - 1))
+        zero_row = [0] * (history_bits + 1)  # shared; train never mutates
+        self._weights: List[List[int]] = [zero_row] * num_perceptrons
+        self._offsets: List[int] = [0] * num_perceptrons
+        # Bytes holding the bias slot plus h history bits.
+        self._nbytes = (history_bits + 8) // 8
+        self._flip = (1 << 8 * self._nbytes) - 1
+        # One training step moves a weight to at most mx + 1 or mn − 1;
+        # negative indexes wrap onto the tail, so this list clamps both.
+        self._clamp = (
+            [min(w, mx) for w in range(mx + 2)]
+            + [max(w, mn) for w in range(mn - 1, 0)]
+        ).__getitem__
 
     def predict(self, pc: int) -> Prediction:
         index = (pc >> 2) % self.num_perceptrons
         history = self.history.bits
-        memo = self._memo[index]
-        output = memo.get(history)
-        if output is None:
-            weights = self._weights[index]
-            s = 0
-            bits = history
-            while bits:
-                lsb = bits & -bits
-                s += weights[lsb.bit_length()]
-                bits &= bits - 1
-            output = weights[0] - self._totals[index] + 2 * s
-            memo[history] = output
-        return Prediction(
-            output >= 0, pc, index=index, history=history, output=output
+        inputs = (history << 1).to_bytes(self._nbytes, "little")
+        output = self._offsets[index] + 2 * sum(
+            compress(self._weights[index], _join(map(_select, inputs)))
         )
+        return Prediction(output >= 0, pc, index, history, output)
 
     def train(self, prediction: Prediction, actual: bool) -> None:
-        mispredicted = prediction.taken != actual
-        if not mispredicted and abs(prediction.output) > self.theta:
+        if prediction.taken == actual and abs(prediction.output) > self.theta:
             return
-        index = prediction.index
-        weights = self._weights[index]
-        mx = self._weight_max
-        mn = self._weight_min
-        t = 1 if actual else -1
-        w = weights[0] + t
-        weights[0] = mx if w > mx else (mn if w < mn else w)
-        bits = prediction.history
-        total = 0
-        for i in range(1, self.history_bits + 1):
-            w = weights[i] + (t if bits & 1 else -t)
-            bits >>= 1
-            if w > mx:
-                w = mx
-            elif w < mn:
-                w = mn
-            weights[i] = w
-            total += w
-        self._totals[index] = total
-        self._memo[index].clear()
-
-    def _clip(self, value: int) -> int:
-        if value > self._weight_max:
-            return self._weight_max
-        if value < self._weight_min:
-            return self._weight_min
-        return value
+        # Bit 0 is the bias's always-set input; a not-taken outcome
+        # steps every weight the other way.
+        inputs = (prediction.history << 1) | 1
+        if not actual:
+            inputs ^= self._flip
+        weights = list(map(self._clamp, map(
+            add,
+            self._weights[prediction.index],
+            _steps(map(_step, inputs.to_bytes(self._nbytes, "little"))),
+        )))
+        self._weights[prediction.index] = weights
+        self._offsets[prediction.index] = 2 * weights[0] - sum(weights)

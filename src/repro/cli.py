@@ -364,6 +364,7 @@ def cmd_bench(args) -> int:
         batch=(
             "off" if args.no_batch else "smoke" if args.smoke else "full"
         ),
+        profile=args.profile,
     )
     summary = report["summary"]
     print(f"\ngeomean speedup: {summary['geomean_speedup_cold']:.2f}x cold, "
@@ -380,12 +381,13 @@ def cmd_bench(args) -> int:
     if summary["degenerate_cells"]:
         print("degenerate cells (excluded from geomean): "
               + ", ".join(summary["degenerate_cells"]))
-    if args.profile and summary.get("profile"):
-        total = sum(summary["profile"].values()) or 1.0
-        print("batch sweep phase attribution:")
-        for phase, secs in summary["profile"].items():
-            print(f"  {phase:16s} {secs:8.2f}s  "
-                  f"{100 * secs / total:5.1f}%")
+    if args.profile:
+        for group, split in summary["profile"].items():
+            total = sum(split.values()) or 1.0
+            print(f"{group} phase attribution:")
+            for phase, secs in split.items():
+                print(f"  {phase:16s} {secs:8.2f}s  "
+                      f"{100 * secs / total:5.1f}%")
         gangs = summary.get("gang_stats", {})
         if gangs.get("gangs"):
             lanes = gangs.get("ganged_lanes", 0)
@@ -868,8 +870,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "dmp-sweep vs fast / batch sweeps vs "
                               "reference)")
     p_bench.add_argument("--profile", action="store_true",
-                         help="print the batch sweeps' per-phase wall-"
-                              "time attribution and gang statistics")
+                         help="split one extra fast run per scalar cell "
+                              "into phases, and print that and the batch "
+                              "sweeps' phase attribution and gang "
+                              "statistics")
     p_bench.add_argument("--no-batch", action="store_true",
                          help="skip the lockstep batch-engine sweep "
                               "cells")

@@ -44,6 +44,9 @@ class JRSConfidenceEstimator(ConfidenceEstimator):
         else:
             self.threshold = min(threshold, self.counter_max)
         self._counters = [0] * table_size
+        # Index = (pc >> 2) XOR masked history, masked to the table.
+        self._hmask = (1 << history_bits) - 1
+        self._imask = table_size - 1
 
     @classmethod
     def paper(cls) -> "JRSConfidenceEstimator":
@@ -60,15 +63,12 @@ class JRSConfidenceEstimator(ConfidenceEstimator):
             f"threshold={self.threshold}/{self.counter_max})"
         )
 
-    def _index(self, pc: int, history: int) -> int:
-        masked_history = history & ((1 << self.history_bits) - 1)
-        return ((pc >> 2) ^ masked_history) & (self.table_size - 1)
-
     def is_confident(self, pc: int, history: int) -> bool:
-        return self._counters[self._index(pc, history)] >= self.threshold
+        index = ((pc >> 2) ^ (history & self._hmask)) & self._imask
+        return self._counters[index] >= self.threshold
 
     def update(self, pc: int, history: int, was_correct: bool) -> None:
-        index = self._index(pc, history)
+        index = ((pc >> 2) ^ (history & self._hmask)) & self._imask
         if was_correct:
             if self._counters[index] < self.counter_max:
                 self._counters[index] += 1

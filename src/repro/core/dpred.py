@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.confidence.perfect import PerfectConfidenceEstimator
-from repro.branch.perfect import PerfectPredictor
 from repro.core.cfm import CfmCam
 from repro.core.mergepoint import LearnedHintTable, MergePointPredictor
 from repro.core.modes import ExitCase, PathOutcome
@@ -169,7 +167,7 @@ class PredicationAwareSimulator(TimingSimulator):
             return False
         if hint.is_loop and not self.config.loop_predication:
             return False  # diverge loop branches are an opt-in extension
-        if isinstance(self.confidence, PerfectConfidenceEstimator):
+        if self._confidence_is_perfect:
             self.confidence.set_oracle(not context.mispredicted)
         confident = self.confidence.is_confident(
             context.instr.pc, context.history_snapshot
@@ -884,7 +882,7 @@ class PredicationAwareSimulator(TimingSimulator):
         loop_hint = self._usable_hint(instr.pc)
         loop_instance = loop_hint is not None and loop_hint.is_loop
         actual = record.taken
-        if isinstance(self.predictor, PerfectPredictor):
+        if self._predictor_is_perfect:
             self.predictor.set_oracle(actual)
         history = self.predictor.snapshot()
         prediction = self.predictor.predict(instr.pc)
@@ -1052,7 +1050,7 @@ class PredicationAwareSimulator(TimingSimulator):
         block = record.block
         instr = block.instructions[-1]
         actual = record.taken
-        if isinstance(self.predictor, PerfectPredictor):
+        if self._predictor_is_perfect:
             self.predictor.set_oracle(actual)
         history = self.predictor.snapshot()
         prediction = self.predictor.predict(instr.pc)
@@ -1064,7 +1062,7 @@ class PredicationAwareSimulator(TimingSimulator):
         if watch_diverge:
             hint = self._usable_hint(instr.pc)
             if hint is not None:
-                if isinstance(self.confidence, PerfectConfidenceEstimator):
+                if self._confidence_is_perfect:
                     self.confidence.set_oracle(not context.mispredicted)
                 if not self.confidence.is_confident(instr.pc, history):
                     return PathResult(
@@ -1227,10 +1225,11 @@ class PredicationAwareSimulator(TimingSimulator):
             ):
                 instr = block.instructions[-1]
                 if self._usable_hint(instr.pc) is not None:
-                    confident = isinstance(
-                        self.confidence, PerfectConfidenceEstimator
-                    ) or self.confidence.is_confident(
-                        instr.pc, self.predictor.snapshot()
+                    confident = (
+                        self._confidence_is_perfect
+                        or self.confidence.is_confident(
+                            instr.pc, self.predictor.snapshot()
+                        )
                     )
                     if not confident:
                         return PathResult(
@@ -1265,9 +1264,7 @@ class PredicationAwareSimulator(TimingSimulator):
         predict = predictor.predict
         spec_update = predictor.spec_update
         confidence = self.confidence
-        confidence_is_perfect = isinstance(
-            confidence, PerfectConfidenceEstimator
-        )
+        confidence_is_perfect = self._confidence_is_perfect
         call_stack = list(self.call_context)
         current = start_block
         cur_function = function

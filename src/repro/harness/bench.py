@@ -100,6 +100,20 @@ BATCH_SMOKE_SAMPLE = 4
 #: otherwise have to run on.
 DMP_BATCH_CONFIGS = ("dmp", "dualpath", "base")
 
+#: Where one scalar cell's fast-engine run goes (``--profile``), as
+#: self times that add up to the run: each phase is the named calls
+#: (the predictor's or estimator's methods, the trace-row fetch, the
+#: wrong-path walk, ``_maybe_enter_dpred``) minus phases nested in them;
+#: ``construct`` is ``simulate`` outside ``run``, ``other`` the rest.
+SCALAR_PHASES = {
+    "predictor": ("predict", "train", "spec_update", "snapshot",
+                  "restore", "repair", "set_oracle"),
+    "confidence": ("is_confident", "update", "set_oracle"),
+    "trace_fetch": ("_fetch_trace_block",),
+    "wrong_path": ("_walk_wrong_path",),
+    "dpred_episode": ("_maybe_enter_dpred",),
+}
+
 
 def geomean(values: Iterable[float]) -> float:
     vals = [v for v in values if v > 0]
@@ -143,6 +157,56 @@ def _measure_cell(context: BenchmarkContext, ref_config: MachineConfig,
             if elapsed < best[i]:
                 best[i] = elapsed
     return best, stats
+
+
+def _profile_scalar_cell(context: BenchmarkContext,
+                         config: MachineConfig) -> Dict[str, float]:
+    """Phase split of one extra, untimed run of ``config``.
+
+    The timing wrappers exist only for this run: ``TimingSimulator.run``
+    is swapped for one that wraps the new simulator's own attributes,
+    and is put back afterwards.  The wrappers' own cost lands mostly in
+    the phase they wrap, so the many-call phases read a little high."""
+    from repro.uarch.timing import TimingSimulator
+
+    seconds = dict.fromkeys(("construct", *SCALAR_PHASES, "other"), 0.0)
+    covered: List[float] = []  # per open call: time of nested calls
+
+    def timed(phase, call):
+        def wrapper(*args, **kwargs):
+            covered.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return call(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - t0
+                seconds[phase] += elapsed - covered.pop()
+                if covered:
+                    covered[-1] += elapsed
+        return wrapper
+
+    original_run = TimingSimulator.run
+
+    def run(sim):
+        for phase, names in SCALAR_PHASES.items():
+            owner = {"predictor": sim.predictor,
+                     "confidence": sim.confidence}.get(phase, sim)
+            for name in names:
+                if hasattr(owner, name):
+                    setattr(owner, name, timed(phase, getattr(owner, name)))
+        return timed("other", original_run)(sim)
+
+    TimingSimulator.run = run
+    try:
+        t0 = time.perf_counter()
+        simulate(context.program, context.trace, config,
+                 hints=context.hints_for(config), benchmark=context.name,
+                 warm_words=context.workload.memory.warm_words())
+        wall = time.perf_counter() - t0
+    finally:
+        TimingSimulator.run = original_run
+    seconds["construct"] = wall - sum(seconds.values())
+    return {k: round(v, 4) for k, v in seconds.items()}
 
 
 def _batch_grid(
@@ -327,6 +391,7 @@ def run_bench(
     progress=None,
     trace_dir: Optional[str] = None,
     batch: str = "full",
+    profile: bool = False,
 ) -> Dict:
     """Run the engine benchmark matrix and return the report dict.
 
@@ -341,6 +406,11 @@ def run_bench(
     smoke baseline), ``"smoke"`` only the latter, ``"off"`` neither.
     Batch cells are excluded from the fast-engine geomeans and
     summarized under ``geomean_batch_speedup``.
+
+    ``profile`` adds each scalar cell's :data:`SCALAR_PHASES` split of
+    one extra, untimed fast-engine run (:func:`_profile_scalar_cell`)
+    as ``cell["profile"]``.  ``summary.profile`` sums the splits into
+    ``scalar`` and ``batch`` groups.
     """
     if batch not in ("full", "smoke", "off"):
         raise ValueError(f"unknown batch mode {batch!r}")
@@ -414,6 +484,8 @@ def run_bench(
                 "speedup_cold": ref_s / fast_s if fast_s else 0.0,
                 "speedup_warm": ref_s / warm_s if warm_s else 0.0,
             }
+            if profile:
+                cell["profile"] = _profile_scalar_cell(context, fast_config)
             cells.append(cell)
             say(f"{name:8s} {config_name:12s} "
                 f"ref {ref_s:6.3f}s  fast {fast_s:6.3f}s  "
@@ -463,13 +535,14 @@ def run_bench(
         c for c, bat in zip(cells, is_batch)
         if bat and not c["degenerate"]
     ]
-    profile_total: Dict[str, float] = {}
+    profile_total: Dict[str, Dict[str, float]] = {"scalar": {}, "batch": {}}
     gang_total: Dict[str, int] = {}
-    for c in batch_live:
+    for c, bat in zip(cells, is_batch):
+        split = profile_total["batch" if bat else "scalar"]
         for key, val in c.get("profile", {}).items():
-            profile_total[key] = round(
-                profile_total.get(key, 0.0) + val, 4
-            )
+            if not c["degenerate"]:
+                split[key] = round(split.get(key, 0.0) + val, 4)
+    for c in batch_live:
         for key, val in c.get("gang_stats", {}).items():
             if key == "max_gang":
                 gang_total[key] = max(gang_total.get(key, 0), val)
@@ -485,7 +558,7 @@ def run_bench(
             c["speedup_fast_dmp"] for c in batch_live
             if "speedup_fast_dmp" in c
         ),
-        "profile": dict(sorted(profile_total.items())),
+        "profile": {g: split for g, split in profile_total.items() if split},
         "gang_stats": dict(sorted(gang_total.items())),
         "all_identical": all(c["identical"] for c in cells),
         "all_traced_identical": all(

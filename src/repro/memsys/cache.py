@@ -8,7 +8,7 @@ give the default of 8).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 class Cache:
@@ -35,16 +35,20 @@ class Cache:
         # update is delete+reinsert and eviction is "remove the first
         # key" — the same order an OrderedDict with move_to_end /
         # popitem(last=False) maintains, on the cheaper builtin dict.
-        self._sets: List[Dict[int, bool]] = [
-            {} for _ in range(self.num_sets)
-        ]
+        # A set's dict is created by its first access (None until then).
+        self._sets: List[Optional[Dict[int, bool]]] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Access a word; returns True on hit.  Misses allocate the line."""
         line = address // self.line_words
-        entry_set = self._sets[line % self.num_sets]
+        index = line % self.num_sets
+        entry_set = self._sets[index]
+        if entry_set is None:
+            self._sets[index] = {line: True}
+            self.misses += 1
+            return False
         if line in entry_set:
             del entry_set[line]
             entry_set[line] = True
@@ -59,11 +63,8 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Check residency without touching LRU or counters."""
         line = address // self.line_words
-        return line in self._sets[line % self.num_sets]
-
-    def invalidate_all(self) -> None:
-        for entry_set in self._sets:
-            entry_set.clear()
+        entry_set = self._sets[line % self.num_sets]
+        return entry_set is not None and line in entry_set
 
     @property
     def accesses(self) -> int:

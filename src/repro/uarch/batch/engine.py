@@ -39,7 +39,6 @@ contents, RAS underflows, the architectural call context).
 
 from __future__ import annotations
 
-import inspect
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -73,15 +72,10 @@ from repro.uarch.stats import SimStats
 #: estimator, BTB, RAS, store-buffer or memory geometry.
 _DEFAULT = MachineConfig()
 #: Table geometry of the one predictor and estimator the vector path
-#: supports, read off the scalar classes that own it.  The perceptron
-#: count is the constructor default and a one-perceptron instance
-#: carries the derived values.  Building the default 1021-row table at
-#: import (~2000 containers, freed at once) raised the peak RSS of a
-#: later scalar suite run in the same process by about 1 MB.
-_NPERC = inspect.signature(PerceptronPredictor).parameters[
-    "num_perceptrons"
-].default
-_P = PerceptronPredictor(num_perceptrons=1)
+#: supports, read off default instances of the scalar classes that own
+#: it (untrained perceptrons share one zero row, so this is cheap).
+_P = PerceptronPredictor()
+_NPERC = _P.num_perceptrons
 _HBITS = _P.history_bits
 _THETA = _P.theta
 _WMAX, _WMIN = _P._weight_max, _P._weight_min

@@ -393,7 +393,6 @@ class TimingSimulator:
         record,
         skip_terminator: bool = False,
         predicate_id: Optional[int] = None,
-        predicate_is_false: bool = False,
         predicate_ready: Optional[int] = None,
     ) -> int:
         """Fetch, execute and retire one on-trace block's instructions.
@@ -430,9 +429,8 @@ class TimingSimulator:
                     completion,
                     predicate_id=predicate_id,
                     predicate_ready_cycle=predicate_ready,
-                    predicate_value=(
-                        None if predicate_id is None else not predicate_is_false
-                    ),
+                    # On-trace work is the predicate-TRUE path.
+                    predicate_value=None if predicate_id is None else True,
                 )
             else:
                 completion = base + instr.latency
@@ -441,8 +439,6 @@ class TimingSimulator:
                 self.reg_ready[instr.dest] = completion
             self._retire(completion)
             self.stats.executed_instructions += 1
-            if predicate_is_false:
-                self.stats.predicated_false_instructions += 1
             last_completion = completion
         return last_completion
 
@@ -451,7 +447,6 @@ class TimingSimulator:
         record,
         skip_terminator: bool = False,
         predicate_id: Optional[int] = None,
-        predicate_is_false: bool = False,
         predicate_ready: Optional[int] = None,
     ) -> int:
         """:meth:`_fetch_trace_block` over the block's pre-decoded plan.
@@ -499,7 +494,7 @@ class TimingSimulator:
         wait_code = ForwardDecision.WAIT
         mem_addrs = record.mem_addrs
         mem_pos = 0
-        pred_value = None if predicate_id is None else not predicate_is_false
+        pred_value = None if predicate_id is None else True  # on-trace
         load_waits = 0
         completion = 0
         # seq advances by one per row, so the ROB ring position does too.
@@ -601,8 +596,6 @@ class TimingSimulator:
         stats.executed_instructions += executed
         if load_waits:
             stats.load_wait_on_predicate += load_waits
-        if predicate_is_false:
-            stats.predicated_false_instructions += executed
         return completion
 
     def _execute_load(

@@ -30,31 +30,27 @@ def run_stream(predictor, outcomes, pc=0x1000):
 
 
 class TestGlobalHistory:
+    """The speculative GHR as every predictor shifts and checkpoints it."""
+
     def test_shift(self):
-        ghr = GlobalHistory(4)
-        ghr.shift(True)
-        ghr.shift(False)
-        ghr.shift(True)
-        assert ghr.bits == 0b101
+        predictor = PerfectPredictor(history_bits=4)
+        for taken in (True, False, True):
+            predictor.spec_update(taken)
+        assert predictor.history.bits == 0b101
 
     def test_width_mask(self):
-        ghr = GlobalHistory(3)
+        predictor = PerfectPredictor(history_bits=3)
         for _ in range(10):
-            ghr.shift(True)
-        assert ghr.bits == 0b111
-
-    def test_with_last(self):
-        ghr = GlobalHistory(4, 0b1010)
-        assert ghr.with_last(True) == 0b1011
-        assert ghr.with_last(False) == 0b1010
+            predictor.spec_update(True)
+        assert predictor.history.bits == 0b111
 
     def test_snapshot_restore(self):
-        ghr = GlobalHistory(8)
-        ghr.shift(True)
-        snap = ghr.snapshot()
-        ghr.shift(False)
-        ghr.restore(snap)
-        assert ghr.bits == snap
+        predictor = PerfectPredictor(history_bits=8)
+        predictor.spec_update(True)
+        snap = predictor.snapshot()
+        predictor.spec_update(False)
+        predictor.restore(snap)
+        assert predictor.history.bits == snap
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):

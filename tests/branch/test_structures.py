@@ -1,7 +1,6 @@
-"""Unit tests for BTB, RAS and indirect target cache."""
+"""Unit tests for BTB and RAS."""
 
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.indirect import IndirectTargetCache
 from repro.branch.ras import ReturnAddressStack
 
 
@@ -11,8 +10,6 @@ class TestBTB:
         assert btb.lookup(0x1000) is None
         btb.insert(0x1000, 0x2000)
         assert btb.lookup(0x1000) == 0x2000
-        assert btb.hits == 1
-        assert btb.misses == 1
 
     def test_update_existing(self):
         btb = BranchTargetBuffer(num_entries=16, associativity=2)
@@ -29,13 +26,6 @@ class TestBTB:
         assert btb.lookup(0x1000) == 0xA
         assert btb.lookup(0x1004) is None
         assert btb.lookup(0x1008) == 0xC
-
-    def test_hit_rate(self):
-        btb = BranchTargetBuffer(num_entries=16, associativity=2)
-        btb.insert(0x1000, 0xA)
-        btb.lookup(0x1000)
-        btb.lookup(0x2000)
-        assert btb.hit_rate == 0.5
 
 
 class TestRAS:
@@ -67,18 +57,3 @@ class TestRAS:
         assert ras.peek() == 1
         assert len(ras) == 1
 
-
-class TestIndirectTargetCache:
-    def test_predict_after_update(self):
-        itc = IndirectTargetCache(num_entries=64, history_bits=0)
-        assert itc.predict(0x1000) is None
-        itc.update(0x1000, 0x5000)
-        assert itc.predict(0x1000) == 0x5000
-
-    def test_history_changes_index(self):
-        itc = IndirectTargetCache(num_entries=64, history_bits=4)
-        itc.update(0x1000, 0x5000)
-        # History shifted by the update; same PC may now map elsewhere,
-        # but updating again and predicting under the same history hits.
-        itc.update(0x1000, 0x6000)
-        assert itc.predict(0x1000) == 0x6000

@@ -226,6 +226,29 @@ class TestRunBench:
             cell["speedup_cold"]
         )
         assert not math.isnan(summary["geomean_speedup_warm"])
+        # Unprofiled runs carry no scalar phase split.
+        assert "profile" not in cell
+        assert "scalar" not in summary["profile"]
+
+    def test_scalar_profile_split(self):
+        from repro.uarch.timing import TimingSimulator
+
+        run = TimingSimulator.run
+        report = bench.run_bench(
+            benchmarks=("gzip",), configs=("dmp",), iterations=60,
+            repeats=1, batch="off", profile=True,
+        )
+        # The wrappers lived only for the extra run.
+        assert TimingSimulator.run is run
+        (cell,) = report["cells"]
+        assert cell["identical"] is True
+        assert list(cell["profile"]) == [
+            "construct", *bench.SCALAR_PHASES, "other",
+        ]
+        for phase in ("predictor", "confidence", "trace_fetch",
+                      "wrong_path", "dpred_episode", "other"):
+            assert cell["profile"][phase] > 0, phase
+        assert report["summary"]["profile"] == {"scalar": cell["profile"]}
 
     def test_unknown_batch_mode_rejected(self):
         with pytest.raises(ValueError):

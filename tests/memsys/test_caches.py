@@ -39,12 +39,6 @@ class TestCache:
         assert c.probe(0)
         assert (c.hits, c.misses) == (hits, misses)
 
-    def test_invalidate_all(self):
-        c = Cache("t", size_words=64, associativity=2, line_words=8)
-        c.access(0)
-        c.invalidate_all()
-        assert not c.probe(0)
-
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             Cache("t", size_words=24, associativity=16, line_words=8)

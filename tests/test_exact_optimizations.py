@@ -11,6 +11,8 @@ randomized stimulus and requires exact agreement.
 import random
 from collections import OrderedDict
 
+import pytest
+
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.perceptron import PerceptronPredictor
 from repro.memsys.cache import Cache
@@ -19,60 +21,120 @@ from repro.uarch.storebuffer import ForwardDecision, StoreBuffer
 from repro.workloads.suite import build_benchmark
 
 
-class NaivePerceptron(PerceptronPredictor):
-    """The original dense dot-product / clip-per-weight implementation."""
+class PerBitPerceptron:
+    """The per-bit perceptron: a dense ±1 dot product and a clip per
+    weight, with its own history register.  Standalone on purpose — the
+    predictor under test shares one zero row between untrained
+    perceptrons, so nothing here may touch its tables."""
+
+    def __init__(self, num_perceptrons, history_bits, weight_bits):
+        self.num_perceptrons = num_perceptrons
+        self.history_bits = history_bits
+        self.theta = int(1.93 * history_bits + 14)
+        self.weight_max = (1 << (weight_bits - 1)) - 1
+        self.weight_min = -(1 << (weight_bits - 1))
+        self.weights = [
+            [0] * (history_bits + 1) for _ in range(num_perceptrons)
+        ]
+        self.history = 0
+        self.clamped = set()
+
+    def _clip(self, value):
+        if value > self.weight_max:
+            self.clamped.add("max")
+            return self.weight_max
+        if value < self.weight_min:
+            self.clamped.add("min")
+            return self.weight_min
+        return value
 
     def predict(self, pc):
-        from repro.branch.base import Prediction
-
+        """Returns ``(taken, index, history, output)``."""
         index = (pc >> 2) % self.num_perceptrons
-        weights = self._weights[index]
-        history = self.history.bits
+        weights = self.weights[index]
         output = weights[0]
-        bits = history
+        bits = self.history
         for i in range(1, self.history_bits + 1):
             output += weights[i] if bits & 1 else -weights[i]
             bits >>= 1
-        return Prediction(
-            output >= 0, pc, index=index, history=history, output=output
-        )
+        return output >= 0, index, self.history, output
+
+    def spec_update(self, taken):
+        mask = (1 << self.history_bits) - 1
+        self.history = ((self.history << 1) | int(taken)) & mask
 
     def train(self, prediction, actual):
-        mispredicted = prediction.taken != actual
-        if not mispredicted and abs(prediction.output) > self.theta:
+        taken, index, history, output = prediction
+        if taken == actual and abs(output) > self.theta:
             return
-        weights = self._weights[prediction.index]
+        weights = self.weights[index]
         t = 1 if actual else -1
         weights[0] = self._clip(weights[0] + t)
-        bits = prediction.history
         for i in range(1, self.history_bits + 1):
-            x = 1 if bits & 1 else -1
+            x = 1 if history & 1 else -1
             weights[i] = self._clip(weights[i] + t * x)
-            bits >>= 1
+            history >>= 1
+
+    def repair(self, prediction, actual):
+        self.history = prediction[2]
+        self.spec_update(actual)
+
+
+def _perceptron_stream(rng):
+    """(pc, outcome) pairs: random biased outcomes over PCs that alias
+    onto shared perceptrons, a history-correlated phase, and long
+    one-direction runs that drive weights into both clamps."""
+    pcs = [rng.randrange(0, 4096) * 4 for _ in range(25)]
+    pcs += [pcs[0] + 13 * 4 * k for k in range(1, 4)]  # same index
+    for _ in range(6000):
+        yield rng.choice(pcs), rng.random() < 0.7
+    recent = [False] * 3
+    for _ in range(4000):
+        outcome = recent[-3] != (rng.random() < 0.05)
+        recent.append(outcome)
+        yield pcs[1], outcome
+    for outcome in (True, False, True):
+        for _ in range(300):
+            yield pcs[2], outcome
+        for _ in range(300):
+            yield pcs[2], rng.random() < 0.5
 
 
 class TestPerceptron:
-    def test_matches_naive_implementation(self):
-        rng = random.Random(7)
-        fast = PerceptronPredictor(num_perceptrons=13, history_bits=9)
-        slow = NaivePerceptron(num_perceptrons=13, history_bits=9)
-        pcs = [rng.randrange(0, 4096) * 4 for _ in range(25)]
-        for step in range(20000):
-            pc = rng.choice(pcs)
+    @pytest.mark.parametrize("weight_bits", [4, 8])
+    @pytest.mark.parametrize("history_bits", [1, 9, 12, 31, 59])
+    def test_matches_per_bit_oracle(self, history_bits, weight_bits):
+        rng = random.Random(history_bits * 10 + weight_bits)
+        fast = PerceptronPredictor(
+            num_perceptrons=13, history_bits=history_bits,
+            weight_bits=weight_bits,
+        )
+        slow = PerBitPerceptron(13, history_bits, weight_bits)
+        for step, (pc, actual) in enumerate(_perceptron_stream(rng)):
             p_fast = fast.predict(pc)
             p_slow = slow.predict(pc)
-            assert (p_fast.taken, p_fast.output, p_fast.index) == (
-                p_slow.taken, p_slow.output, p_slow.index
-            ), f"diverged at step {step}"
-            actual = rng.random() < 0.7
+            assert (
+                p_fast.taken, p_fast.index, p_fast.history, p_fast.output
+            ) == p_slow, f"diverged at step {step}"
             fast.spec_update(p_fast.taken)
-            slow.spec_update(p_slow.taken)
+            slow.spec_update(p_slow[0])
             fast.train(p_fast, actual)
             slow.train(p_slow, actual)
             if p_fast.taken != actual:
                 fast.repair(p_fast, actual)
                 slow.repair(p_slow, actual)
-        assert fast._weights == slow._weights
+        assert fast._weights == slow.weights
+        if weight_bits == 4:
+            assert slow.clamped == {"max", "min"}
+
+    def test_training_leaves_untrained_rows_zero(self):
+        predictor = PerceptronPredictor(num_perceptrons=4, history_bits=9)
+        for _ in range(50):
+            prediction = predictor.predict(0)
+            predictor.train(prediction, False)
+        assert predictor._weights[0] != [0] * 10
+        assert predictor._weights[1:] == [[0] * 10] * 3
+        assert predictor.predict(4).output == 0
 
 
 class OrderedDictCache:
@@ -112,6 +174,11 @@ class TestCacheLru:
             address = rng.randrange(0, 4096)
             assert cache.access(address) == model.access(address)
         assert (cache.hits, cache.misses) == (model.hits, model.misses)
+        # A never-touched set is None: the same as an empty one.
+        for entries, model_entries in zip(cache._sets, model._sets):
+            assert list((entries or {}).items()) == list(
+                model_entries.items()
+            )
         for _ in range(200):
             address = rng.randrange(0, 4096)
             line = address // cache.line_words
@@ -152,8 +219,11 @@ class TestBtbLru:
                 target = rng.randrange(0, 1 << 16)
                 btb.insert(pc, target)
                 model_insert(pc, target)
+        # A never-touched set is None: the same as an empty one.
         for entries, model_entries in zip(btb._sets, model):
-            assert list(entries.items()) == list(model_entries.items())
+            assert list((entries or {}).items()) == list(
+                model_entries.items()
+            )
 
 
 class NaiveStoreBuffer(StoreBuffer):

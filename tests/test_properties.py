@@ -5,8 +5,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.branch.base import GlobalHistory
 from repro.branch.perceptron import PerceptronPredictor
+from repro.branch.perfect import PerfectPredictor
 from repro.confidence.jrs import JRSConfidenceEstimator
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.program.interpreter import Interpreter
@@ -27,12 +27,12 @@ from repro.workloads.generator import GadgetSpec, WorkloadSpec, build_workload
 )
 def test_ghr_width_invariant(width, outcomes):
     """The GHR never exceeds its width and reflects the newest outcomes."""
-    ghr = GlobalHistory(width)
+    predictor = PerfectPredictor(history_bits=width)
     for taken in outcomes:
-        ghr.shift(taken)
-        assert 0 <= ghr.bits < (1 << width)
+        predictor.spec_update(taken)
+        assert 0 <= predictor.history.bits < (1 << width)
     if outcomes:
-        assert (ghr.bits & 1) == int(outcomes[-1])
+        assert (predictor.history.bits & 1) == int(outcomes[-1])
 
 
 @given(
@@ -40,14 +40,14 @@ def test_ghr_width_invariant(width, outcomes):
     st.lists(st.booleans(), max_size=50),
 )
 def test_ghr_snapshot_restore_roundtrip(prefix, suffix):
-    ghr = GlobalHistory(16)
+    predictor = PerfectPredictor(history_bits=16)
     for taken in prefix:
-        ghr.shift(taken)
-    snap = ghr.snapshot()
+        predictor.spec_update(taken)
+    snap = predictor.snapshot()
     for taken in suffix:
-        ghr.shift(taken)
-    ghr.restore(snap)
-    assert ghr.bits == snap
+        predictor.spec_update(taken)
+    predictor.restore(snap)
+    assert predictor.history.bits == snap
 
 
 # ---------------------------------------------------------------------------

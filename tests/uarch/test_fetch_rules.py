@@ -1,5 +1,9 @@
 """Directed micro-tests of the Table 2 fetch-engine rules."""
 
+import dataclasses
+
+import pytest
+
 from repro.cfg.builder import CFGBuilder
 from repro.isa.instructions import Condition
 from repro.program.interpreter import Interpreter
@@ -137,5 +141,50 @@ class TestBtb:
         trace = Interpreter(program).run()
         sim = TimingSimulator(program, trace, MachineConfig())
         sim.run()
-        # Every jump target was inserted once (all cold misses).
-        assert sim.btb.misses >= 29
+        # Every jump missed once and left its target behind.
+        main = program.function("main")
+        for i in range(29):
+            jump = main.block(f"b{i}").terminator
+            assert sim.btb.lookup(jump.pc) == main.block(f"b{i + 1}").first_pc
+
+
+class TestWholeBranchBlockFetch:
+    """Wish episodes fetch BR-terminated region blocks whole
+    (``skip_terminator=False``), so the branch row reaches the trace-row
+    fetch and must take the per-cycle branch budget in both engines."""
+
+    @pytest.mark.parametrize("predicate_id", [None, 3])
+    def test_fast_twin_matches_reference(self, predicate_id):
+        b = CFGBuilder("main")
+        b.block("init").movi(1, 5).movi(2, 700)
+        work = b.block("work")
+        work.load(3, 2).addi(4, 3, 1).store(4, 2, offset=8)
+        work.br(Condition.GE, 1, imm=3, taken="done")
+        b.block("mid").addi(5, 5, 1)
+        b.block("done").halt()
+        program = build_program(b.build())
+        trace = Interpreter(program).run()
+        record = next(r for r in trace.records if r.block.name == "work")
+        assert record.block.terminator.is_cond_branch
+        seen = {}
+        for engine in ("reference", "fast"):
+            sim = TimingSimulator(
+                program, trace, MachineConfig(engine=engine)
+            )
+            # Slots to spare, but this cycle's branch budget is spent.
+            sim.cycle, sim.slots, sim.branches_left = 7, 8, 0
+            completion = sim._fetch_trace_block(
+                record, skip_terminator=False,
+                predicate_id=predicate_id, predicate_ready=40,
+            )
+            seen[engine] = (
+                completion, sim.cycle, sim.slots, sim.branches_left,
+                sim.seq, sim.last_retire_cycle, sim.retire_count,
+                list(sim.retire_ring), list(sim.reg_ready),
+                dataclasses.asdict(sim.stats),
+            )
+        assert seen["fast"] == seen["reference"]
+        # Only the branch row opened cycle 8, and spent one branch of it.
+        _, cycle, slots, branches_left = seen["fast"][:4]
+        assert (cycle, slots) == (8, 7)
+        assert branches_left == MachineConfig().max_branches_per_cycle - 1
