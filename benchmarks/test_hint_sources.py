@@ -26,7 +26,7 @@ def test_hint_source_comparison(benchmark, contexts, iterations):
                 name, BenchmarkContext(name, iterations=iterations)
             )
             base = context.simulate(MachineConfig.baseline())
-            warm = sorted(context.workload.memory._words)
+            warm = context.workload.memory.warm_words()
 
             def dmp_with(hints):
                 stats = simulate(

@@ -5,12 +5,7 @@ what wish-loop-style iteration predication adds on the suite's
 data-dependent inner loops.
 """
 
-from repro.core.processors import simulate
 from repro.harness.experiment import BenchmarkContext
-from repro.profiling.loop_selection import (
-    merge_hint_tables,
-    select_diverge_loop_branches,
-)
 from repro.uarch.config import MachineConfig
 
 #: Benchmarks with data-dependent inner loops in their recipes.
@@ -26,23 +21,15 @@ def test_loop_predication_extension(benchmark, contexts, iterations):
             )
             base = context.simulate(MachineConfig.baseline())
             mainline = context.simulate(MachineConfig.dmp(enhanced=True))
-            loop_hints = select_diverge_loop_branches(
-                context.program, context.trace, context.profile,
-                context.thresholds,
-            )
-            combined = merge_hint_tables(context.diverge_hints, loop_hints)
-            with_loops = simulate(
-                context.program,
-                context.trace,
-                MachineConfig.dmp(enhanced=True, loop_predication=True),
-                hints=combined,
-                benchmark=name,
-                warm_words=sorted(context.workload.memory._words),
+            with_loops = context.simulate(
+                MachineConfig.dmp(enhanced=True, loop_predication=True)
             )
             out[name] = {
                 "mainline": 100.0 * (mainline.ipc / base.ipc - 1),
                 "with_loops": 100.0 * (with_loops.ipc / base.ipc - 1),
-                "loop_branches": len(loop_hints),
+                "loop_branches": sum(
+                    hint.is_loop for _, hint in context.loop_hints
+                ),
                 "saves": with_loops.loop_iteration_saves,
             }
         return out

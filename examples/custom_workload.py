@@ -62,7 +62,7 @@ def main():
     print(f"compiler: {profile.total_mispredictions} mispredictions, "
           f"{len(candidates)} candidates, {len(hints)} diverge branches\n")
 
-    warm = sorted(workload.memory._words)
+    warm = workload.memory.warm_words()
     results = {}
     for label, config in (
         ("baseline", MachineConfig.baseline()),

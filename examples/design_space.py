@@ -83,26 +83,14 @@ def main():
               f"DMP {gain:+7.1f}%")
 
     section("Diverge loop branches (Section 2.7.4 extension)")
-    from repro.core.processors import simulate
-    from repro.profiling.loop_selection import (
-        merge_hint_tables,
-        select_diverge_loop_branches,
+    with_loops = context.simulate(
+        MachineConfig.dmp(enhanced=True, loop_predication=True)
     )
-
-    loop_hints = select_diverge_loop_branches(
-        context.program, context.trace, context.profile, context.thresholds
-    )
-    combined = merge_hint_tables(context.diverge_hints, loop_hints)
-    with_loops = simulate(
-        context.program, context.trace,
-        MachineConfig.dmp(enhanced=True, loop_predication=True),
-        hints=combined, benchmark=args.benchmark,
-        warm_words=sorted(context.workload.memory._words),
-    )
+    loop_branches = sum(hint.is_loop for _, hint in context.loop_hints)
     enhanced = context.simulate(MachineConfig.dmp(enhanced=True))
     print(f"  enhanced DMP                             "
           f"{100 * (enhanced.ipc / base.ipc - 1):+7.1f}%")
-    print(f"  + loop predication ({len(loop_hints)} loop branches)      "
+    print(f"  + loop predication ({loop_branches} loop branches)      "
           f"{100 * (with_loops.ipc / base.ipc - 1):+7.1f}%   "
           f"({with_loops.loop_iteration_saves} exit flushes absorbed)")
 

@@ -17,7 +17,7 @@ Quick start::
 
 Package map (see README.md / DESIGN.md for detail):
 
-- :mod:`repro.core` — the dynamic-predication engine and processor facades
+- :mod:`repro.core` — the dynamic-predication engine and :func:`simulate`
 - :mod:`repro.uarch` — machine config and the timing model substrate
 - :mod:`repro.profiling` — the compiler side (selection heuristics)
 - :mod:`repro.workloads` — the synthetic SPEC-2000-like suite

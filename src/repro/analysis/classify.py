@@ -58,13 +58,6 @@ class MispredictionClassification:
         diverge = self.simple_hammock_diverge + self.complex_diverge
         return diverge / self.total_mispredictions
 
-    @property
-    def hammock_share(self) -> float:
-        """Fraction due to simple hammocks alone (~9% in the paper)."""
-        if not self.total_mispredictions:
-            return 0.0
-        return self.simple_hammock_diverge / self.total_mispredictions
-
 
 def classify_mispredictions(
     benchmark: str,

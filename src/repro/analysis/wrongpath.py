@@ -40,15 +40,6 @@ class WrongPathBreakdown:
             return 0.0
         return 100.0 * self.wrong_control_independent / self.fetched_total
 
-    @property
-    def ci_share_of_wrong(self) -> float:
-        """Fraction of wrong-path instructions that are control-independent
-        (the paper reports ~63% on average)."""
-        wrong = self.wrong_control_dependent + self.wrong_control_independent
-        if not wrong:
-            return 0.0
-        return self.wrong_control_independent / wrong
-
 
 def wrong_path_breakdown(stats: SimStats) -> WrongPathBreakdown:
     """Package a baseline run's fetch counters as the Figure 1 data point."""

@@ -29,14 +29,8 @@ class ReturnAddressStack:
             return None
         return self._stack.pop()
 
-    def peek(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
-
     def snapshot(self) -> Tuple[int, ...]:
         return tuple(self._stack)
 
     def restore(self, snap: Tuple[int, ...]) -> None:
         self._stack = list(snap[-self.depth:])
-
-    def __len__(self) -> int:
-        return len(self._stack)

@@ -224,14 +224,6 @@ class ControlFlowGraph:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    @property
-    def block_names(self) -> Tuple[str, ...]:
-        return tuple(self._blocks)
-
-    def exit_blocks(self) -> Tuple[str, ...]:
-        """Names of blocks with no intra-function successors."""
-        return tuple(b.name for b in self._blocks.values() if not b.successors())
-
     def instruction_count(self) -> int:
         return sum(len(b) for b in self._blocks.values())
 

@@ -30,15 +30,6 @@ class NaturalLoop:
     def __contains__(self, block_name: str) -> bool:
         return block_name in self.blocks
 
-    def exit_edges(self, cfg: ControlFlowGraph) -> List[Tuple[str, str]]:
-        """Edges leaving the loop: ``(inside_block, outside_successor)``."""
-        out = []
-        for name in sorted(self.blocks):
-            for succ in cfg.block(name).successors():
-                if succ not in self.blocks:
-                    out.append((name, succ))
-        return out
-
     def __repr__(self) -> str:
         return f"<NaturalLoop {self.header} ({len(self.blocks)} blocks)>"
 

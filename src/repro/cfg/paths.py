@@ -31,24 +31,12 @@ class EdgeProfile:
     def __init__(self, function: str) -> None:
         self.function = function
         self._counts: Dict[Tuple[str, str], int] = defaultdict(int)
-        self._block_counts: Dict[str, int] = defaultdict(int)
 
     def record_edge(self, src: str, dst: str, count: int = 1) -> None:
         self._counts[(src, dst)] += count
-        self._block_counts[dst] += count
-
-    def record_entry(self, block: str, count: int = 1) -> None:
-        """Record function entry (a block execution with no intra-CFG edge)."""
-        self._block_counts[block] += count
 
     def edge_count(self, src: str, dst: str) -> int:
         return self._counts.get((src, dst), 0)
-
-    def block_count(self, block: str) -> int:
-        return self._block_counts.get(block, 0)
-
-    def outgoing_total(self, src: str) -> int:
-        return sum(c for (s, _), c in self._counts.items() if s == src)
 
     def edges(self) -> Iterator[Tuple[str, str, int]]:
         for (src, dst), count in sorted(self._counts.items()):

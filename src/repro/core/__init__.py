@@ -9,23 +9,15 @@
   machine for both DMP and DHP;
 * :mod:`repro.core.mergepoint` — the dynamic merge-point predictor
   behind the hint-free ``"mpp"`` mode (learned CFM points);
-* :mod:`repro.core.processors` — the user-facing facades
-  (:func:`simulate`, plus one constructor per machine flavour).
+* :mod:`repro.core.processors` — :func:`simulate`, which runs one
+  trace through one machine configuration.
 """
 
 from repro.core.modes import ExitCase, PathOutcome
 from repro.core.cfm import CfmCam
 from repro.core.dpred import PredicationAwareSimulator
 from repro.core.mergepoint import LearnedHintTable, MergePointPredictor
-from repro.core.processors import (
-    simulate,
-    baseline_processor,
-    diverge_merge_processor,
-    dynamic_hammock_processor,
-    dual_path_processor,
-    merge_point_processor,
-    wish_branch_processor,
-)
+from repro.core.processors import simulate
 
 __all__ = [
     "ExitCase",
@@ -35,10 +27,4 @@ __all__ = [
     "MergePointPredictor",
     "PredicationAwareSimulator",
     "simulate",
-    "baseline_processor",
-    "diverge_merge_processor",
-    "dynamic_hammock_processor",
-    "dual_path_processor",
-    "merge_point_processor",
-    "wish_branch_processor",
 ]

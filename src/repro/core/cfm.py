@@ -44,7 +44,3 @@ class CfmCam:
         if not self.matches(pc):
             raise CfmError(f"{pc:#x} is not a live CFM point")
         self._locked = pc
-
-    @property
-    def locked_pc(self) -> Optional[int]:
-        return self._locked

@@ -40,15 +40,3 @@ class ExitCase(enum.IntEnum):
     CONTINUE_PREDICTED = 5
     FLUSH = 6
 
-    @property
-    def flushes_pipeline(self) -> bool:
-        return self is ExitCase.FLUSH
-
-    @property
-    def saves_misprediction(self) -> bool:
-        """Exit cases where a mispredicted diverge branch does NOT flush."""
-        return self in (
-            ExitCase.NORMAL_MISPREDICTED,
-            ExitCase.CONTINUE_ALTERNATE,
-        )
-

@@ -1,14 +1,15 @@
-"""User-facing processor constructors and the one-call ``simulate`` API.
+"""The one-call ``simulate`` API: one trace through one machine.
 
 Typical use::
 
     from repro.core import simulate
     from repro.uarch.config import MachineConfig
 
-    stats = simulate(program, trace, MachineConfig.dmp(enhanced=True), hints)
+    stats = simulate(program, trace, MachineConfig.dmp(enhanced=True), hints,
+                     warm_words=memory.warm_words())
 
 or, going through the profiling pipeline end-to-end, use
-:func:`repro.harness.experiment.run_benchmark`.
+:class:`repro.harness.experiment.BenchmarkContext`.
 """
 
 from __future__ import annotations
@@ -23,105 +24,6 @@ from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 from repro.uarch.timing import TimingSimulator
 from repro.validation.runtime import paranoid_enabled
-
-
-def baseline_processor(
-    program: Program, trace: Trace, config: Optional[MachineConfig] = None,
-    benchmark: str = "",
-) -> TimingSimulator:
-    """The Table 2 baseline: branch prediction only."""
-    config = (config or MachineConfig()).replace(mode="baseline")
-    return TimingSimulator(program, trace, config, benchmark=benchmark)
-
-
-def diverge_merge_processor(
-    program: Program,
-    trace: Trace,
-    hints: HintTable,
-    config: Optional[MachineConfig] = None,
-    enhanced: bool = False,
-    benchmark: str = "",
-) -> PredicationAwareSimulator:
-    """A diverge-merge processor driven by compiler hints.
-
-    ``enhanced`` turns on all three Section 2.7 mechanisms (multiple CFM
-    points, early exit, multiple diverge branches), matching the
-    ``enhanced-mcfm-eexit-mdb`` configuration of Figure 9.
-    """
-    if config is None:
-        config = MachineConfig.dmp(enhanced=enhanced)
-    else:
-        overrides = {"mode": "dmp"}
-        if enhanced:
-            overrides.update(
-                multiple_cfm=True, early_exit=True, multiple_diverge=True
-            )
-        config = config.replace(**overrides)
-    return PredicationAwareSimulator(
-        program, trace, config, hints=hints, benchmark=benchmark
-    )
-
-
-def dynamic_hammock_processor(
-    program: Program,
-    trace: Trace,
-    hammock_hints: HintTable,
-    config: Optional[MachineConfig] = None,
-    benchmark: str = "",
-) -> PredicationAwareSimulator:
-    """Dynamic Hammock Predication (Klauser et al.): the same dynamic
-    predication engine, restricted to simple-hammock hints (no complex
-    control flow, no enhancements)."""
-    base = config or MachineConfig()
-    config = base.replace(
-        mode="dhp",
-        multiple_cfm=False,
-        early_exit=False,
-        multiple_diverge=False,
-    )
-    return PredicationAwareSimulator(
-        program, trace, config, hints=hammock_hints, benchmark=benchmark
-    )
-
-
-def wish_branch_processor(
-    program: Program,
-    trace: Trace,
-    wish_hints: HintTable,
-    config: Optional[MachineConfig] = None,
-    benchmark: str = "",
-) -> PredicationAwareSimulator:
-    """A wish-branch machine (Kim et al., the Section 5.2 comparison):
-    compile-time if-converted regions, run-time predicate-or-predict
-    choice.  Build ``wish_hints`` with
-    :func:`repro.profiling.wish_selection.select_wish_branches`."""
-    config = (config or MachineConfig()).replace(mode="wish")
-    return PredicationAwareSimulator(
-        program, trace, config, hints=wish_hints, benchmark=benchmark
-    )
-
-
-def merge_point_processor(
-    program: Program, trace: Trace, config: Optional[MachineConfig] = None,
-    benchmark: str = "",
-) -> PredicationAwareSimulator:
-    """A hint-free diverge-merge processor (mode ``"mpp"``): CFM points
-    are learned at run time by the dynamic merge-point predictor, so no
-    hint table — and no profiling pass — is involved.  See
-    docs/merge_point_prediction.md."""
-    config = (config or MachineConfig()).replace(mode="mpp")
-    return PredicationAwareSimulator(
-        program, trace, config, benchmark=benchmark
-    )
-
-
-def dual_path_processor(
-    program: Program, trace: Trace, config: Optional[MachineConfig] = None,
-    benchmark: str = "",
-) -> TimingSimulator:
-    """Selective dual-path execution (Heil & Smith)."""
-    config = (config or MachineConfig()).replace(mode="dualpath")
-    return TimingSimulator(program, trace, config, benchmark=benchmark)
 
 
 def simulate(

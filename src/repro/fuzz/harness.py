@@ -1,15 +1,18 @@
 """Differential harness: one fuzz program across every engine x mode cell.
 
-For each generated program the harness derives the full hint stack with
-the production profiling pipeline (the same postdominator/reconvergence
-machinery the benchmarks use — no fuzz-only shortcuts), then simulates
-every machine mode on both engines with the oracle cross-checker and
-watchdog armed.  Anything abnormal becomes a :class:`Finding`:
+Each generated program is a :class:`FuzzProgram` — a
+:class:`~repro.harness.experiment.BenchmarkContext` over the spec's
+workload — so its trace, profile and validated hint tables come from the
+same pipeline the benchmarks use (no fuzz-only shortcuts).  The harness
+then simulates every machine mode on both engines with the oracle
+cross-checker and watchdog armed.  Anything abnormal becomes a
+:class:`Finding`:
 
 ``divergence``   the two engines disagree on any SimStats field
 ``oracle``       the oracle cross-checker tripped (OracleMismatchError)
 ``hang``         the watchdog tripped (SimulationHangError)
-``crash``        any other exception out of hint derivation or simulation
+``crash``        any other exception out of hint derivation (a table
+                 that fails validation included) or simulation
 ``generator``    the spec failed to build or run functionally (a bug in
                  the fuzzer itself, reported rather than swallowed)
 
@@ -40,21 +43,28 @@ from repro.fuzz.generator import (
     build_fuzz_workload,
     draw_spec,
 )
-from repro.isa.encoding import HintTable
-from repro.profiling.diverge_selection import (
-    SelectionThresholds,
+from repro.harness.experiment import BenchmarkContext
+from repro.profiling.diverge_selection import SelectionThresholds
+from repro.uarch.config import MachineConfig
+from repro.uarch.stats import SimStats
+
+# Unused here: hint selection runs through repro.harness.experiment.
+# perf/layers.py wraps these names on this module when it traces a run,
+# and a traced run aborts on a missing attribute.
+from repro.profiling.diverge_selection import (  # noqa: F401
     build_hint_table,
     candidate_branch_pcs,
     select_diverge_branches,
 )
-from repro.profiling.hammock import find_simple_hammocks
-from repro.profiling.loop_selection import (
+from repro.profiling.hammock import find_simple_hammocks  # noqa: F401
+from repro.profiling.loop_selection import (  # noqa: F401
     merge_hint_tables,
     select_diverge_loop_branches,
 )
-from repro.profiling.profiler import collect_reconvergence, profile_trace
-from repro.uarch.config import MachineConfig
-from repro.uarch.stats import SimStats
+from repro.profiling.profiler import (  # noqa: F401
+    collect_reconvergence,
+    profile_trace,
+)
 
 #: Report schema identifier (bump on incompatible layout changes).
 REPORT_SCHEMA = "repro-fuzz/1"
@@ -154,110 +164,36 @@ class Finding:
         )
 
 
-class FuzzProgram:
-    """One fuzz spec's machine-independent artifacts, lazily built.
-
-    The shape mirrors :class:`repro.harness.experiment.BenchmarkContext`
-    but is keyed by a :class:`FuzzSpec` instead of a benchmark name, and
-    derives the loop-pred hint table (forward diverge hints merged with
-    loop-exit hints) that the benchmark context leaves to ablation
-    drivers."""
+class FuzzProgram(BenchmarkContext):
+    """One fuzz spec as a benchmark context: the workload is built from
+    the spec, and the trace, profile and every hint table (validated
+    with :func:`~repro.validation.hints.check_hint_table`) come from
+    :class:`~repro.harness.experiment.BenchmarkContext`."""
 
     def __init__(
         self,
         spec: FuzzSpec,
         thresholds: Optional[SelectionThresholds] = None,
     ) -> None:
+        super().__init__(spec.name, spec.iterations, spec.seed, thresholds)
         self.spec = spec
-        self.thresholds = thresholds or SelectionThresholds()
-        self._workload = None
-        self._trace = None
-        self._profile = None
-        self._hints: Dict[str, Optional[HintTable]] = {}
 
-    @property
-    def workload(self):
-        if self._workload is None:
-            self._workload = build_fuzz_workload(self.spec)
-        return self._workload
-
-    @property
-    def program(self):
-        return self.workload.program
-
-    @property
-    def trace(self):
-        if self._trace is None:
-            self._trace = self.workload.run()
-        return self._trace
-
-    @property
-    def profile(self):
-        if self._profile is None:
-            self._profile = profile_trace(self.program, self.trace)
-        return self._profile
-
-    def _diverge_hints(self) -> HintTable:
-        candidates = candidate_branch_pcs(self.profile, self.thresholds)
-        reconvergence = collect_reconvergence(
-            self.program,
-            self.trace,
-            candidates,
-            max_distance=self.thresholds.max_cfm_distance,
-        )
-        selections = select_diverge_branches(
-            self.profile, reconvergence, self.thresholds
-        )
-        return build_hint_table(selections, self.thresholds, multiple_cfm=True)
-
-    def hints_for(self, mode: str) -> Optional[HintTable]:
-        """The hint table for a fuzz mode (memoized per mode family)."""
-        if mode in ("baseline", "dualpath", "mpp"):
-            # mpp learns its merge points at run time — simulate()
-            # rejects a compiler table in that mode.
-            return None
-        if mode not in self._hints:
-            if mode in ("dmp", "dmp-basic", GANG_MODE):
-                self._hints[mode] = self._diverge_hints()
-            elif mode == "loop-pred":
-                loop = select_diverge_loop_branches(
-                    self.program, self.trace, self.profile, self.thresholds
-                )
-                self._hints[mode] = merge_hint_tables(
-                    self.hints_for("dmp"), loop
-                )
-            elif mode == "dhp":
-                self._hints[mode] = find_simple_hammocks(
-                    self.program,
-                    profile=self.profile,
-                    min_misprediction_rate=(
-                        self.thresholds.min_misprediction_rate
-                    ),
-                )
-            elif mode == "wish":
-                from repro.profiling.wish_selection import select_wish_branches
-
-                table, _ = select_wish_branches(
-                    self.program,
-                    profile=self.profile,
-                    min_misprediction_rate=(
-                        self.thresholds.min_misprediction_rate
-                    ),
-                )
-                self._hints[mode] = table
-            else:
-                raise ValueError(f"unknown fuzz mode {mode!r}")
-        return self._hints[mode]
+    def _build_workload(self):
+        return build_fuzz_workload(self.spec)
 
     def simulate(
         self, mode: str, config: MachineConfig, tracer=None
     ) -> SimStats:
+        """One ``(mode, engine)`` cell, simulated afresh: fuzz cells are
+        never memoized, since fingerprinting the config would cost more
+        than it saves.  ``mode`` only names the cell; the hints are
+        :meth:`hints_for` ``config``."""
         return simulate(
             self.program,
             self.trace,
             config,
-            hints=self.hints_for(mode),
-            benchmark=self.spec.name,
+            hints=self.hints_for(config),
+            benchmark=self.name,
             warm_words=self.workload.memory.warm_words(),
             tracer=tracer,
         )
@@ -283,9 +219,9 @@ def _check_gang(ctx: FuzzProgram, spec: FuzzSpec) -> List[Finding]:
     if not batch_supported():
         return []
     try:
-        hints = ctx.hints_for(GANG_MODE)
-        warm = ctx.workload.memory.warm_words()
         base = MachineConfig.dmp()
+        hints = ctx.hints_for(base)
+        warm = ctx.workload.memory.warm_words()
         configs = [
             base.replace(
                 engine="batch",
@@ -395,7 +331,7 @@ def check_spec(
         if harden:
             base = base.hardened(cycle_limit)
         try:
-            ctx.hints_for(mode)
+            ctx.hints_for(base)
         except Exception as exc:
             findings.append(
                 Finding(

@@ -2,10 +2,10 @@
 
 A :class:`BenchmarkContext` owns everything one benchmark needs that is
 *independent of the machine configuration*: the built workload, its
-functional trace, the two profile runs, and the diverge/hammock hint
-tables.  All of it is computed lazily and cached, so sweeping N machine
-configurations over one benchmark pays the (comparatively expensive)
-profiling cost once.
+functional trace, the two profile runs, and every hint table a machine
+reads (:meth:`BenchmarkContext.hints_for`).  All of it is computed
+lazily and cached, so sweeping N machine configurations over one
+benchmark pays the (comparatively expensive) profiling cost once.
 
 Two further layers sit on top (docs/performance.md):
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.processors import simulate
 from repro.errors import HintValidationError, ReproError
@@ -38,6 +38,10 @@ from repro.profiling.diverge_selection import (
     select_diverge_branches,
 )
 from repro.profiling.hammock import find_simple_hammocks
+from repro.profiling.loop_selection import (
+    merge_hint_tables,
+    select_diverge_loop_branches,
+)
 from repro.profiling.profiler import (
     ProgramProfile,
     collect_reconvergence,
@@ -48,9 +52,6 @@ from repro.uarch.stats import SimStats
 from repro.validation.hints import check_hint_table
 from repro.validation.runtime import paranoid_enabled
 from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
-
-#: Cache kinds for the three hint-table flavours, by machine mode.
-_HINT_KINDS = {"dmp": "hints-dmp", "dhp": "hints-dhp", "wish": "hints-wish"}
 
 #: Timed stages of a context, in pipeline order; each has a
 #: ``SuiteTimings.<stage>_seconds`` field.
@@ -87,9 +88,8 @@ class BenchmarkContext:
         self._trace = None
         self._profile: Optional[ProgramProfile] = None
         self._selections = None
-        self._diverge_hints: Optional[HintTable] = None
-        self._hammock_hints: Optional[HintTable] = None
-        self._wish_hints: Optional[HintTable] = None
+        #: Hint tables by disk-cache kind (see :meth:`hints_for`).
+        self._hints: Dict[str, HintTable] = {}
         self._sim_cache: Dict[str, SimStats] = {}
         #: Wall-clock seconds spent in each stage *by this process*.  The
         #: stages are disjoint: each timer starts only after the artifacts
@@ -148,13 +148,15 @@ class BenchmarkContext:
 
     # -- artifacts --------------------------------------------------------
 
+    def _build_workload(self):
+        """Program + initialized memory (subclasses build other sources)."""
+        return build_benchmark(self.name, self.iterations, self.seed)
+
     @property
     def workload(self):
         if self._workload is None:
             t0 = time.perf_counter()
-            self._workload = build_benchmark(
-                self.name, self.iterations, self.seed
-            )
+            self._workload = self._build_workload()
             self._timed("build", t0)
         return self._workload
 
@@ -218,90 +220,84 @@ class BenchmarkContext:
             self._timed("select", t0)
         return self._selections
 
-    def _cached_hint_table(self, kind: str) -> Optional[HintTable]:
-        """A cached hint table, re-validated against this program; a
-        structurally-broken cached table is discarded (the
-        :class:`HintValidationError` pathway) and rebuilt."""
-        if self._cache is None:
-            return None
-        table = self._cache.load_hints(kind, self.fingerprint)
+    def _hint_table(
+        self, kind: str, select: Callable[[], HintTable]
+    ) -> HintTable:
+        """The hint table cached under ``kind``: memoized, else loaded from
+        the disk cache, else ``select()``-ed and stored.
+
+        A cached table is re-validated against this program; a
+        structurally-broken one (the :class:`HintValidationError`
+        pathway) is discarded and selected afresh."""
+        table = self._hints.get(kind)
+        if table is not None:
+            return table
+        if self._cache is not None:
+            table = self._cache.load_hints(kind, self.fingerprint)
+            if table is not None:
+                try:
+                    check_hint_table(self.program, table)
+                except HintValidationError:
+                    self._cache.mark_corrupt(kind, self.fingerprint)
+                    table = None
         if table is None:
-            return None
-        try:
-            check_hint_table(self.program, table)
-        except HintValidationError:
-            self._cache.mark_corrupt(kind, self.fingerprint)
-            return None
+            table = select()
+            if self._cache is not None:
+                self._cache.store_hints(kind, self.fingerprint, table)
+        self._hints[kind] = table
         return table
 
-    def _store_hint_table(self, kind: str, table: HintTable) -> None:
-        if self._cache is not None:
-            self._cache.store_hints(kind, self.fingerprint, table)
+    def _select(self, select, *args, **kwargs) -> HintTable:
+        """``select(*args, **kwargs)``, validated.
+
+        The arguments are context artifacts, each resolved under its own
+        stage timer before the call, so only the selection and the check
+        are timed as ``"select"``.  A structurally-broken table (a
+        selection bug, or a stale profile) raises
+        :class:`~repro.errors.HintValidationError` here, before it can
+        steer the fetch engine."""
+        t0 = time.perf_counter()
+        table = select(*args, **kwargs)
+        check_hint_table(self.program, table)
+        self._timed("select", t0)
+        return table
 
     @property
     def diverge_hints(self) -> HintTable:
-        """The DMP hint table (all qualifying CFM points per branch).
+        """The DMP hint table (all qualifying CFM points per branch)."""
+        return self._hint_table("hints-dmp", lambda: self._select(
+            build_hint_table, self.selections, self.thresholds,
+            multiple_cfm=True,
+        ))
 
-        Validated on build: a structurally-broken table (a selection bug,
-        or a stale profile) raises
-        :class:`~repro.errors.HintValidationError` here, before it can
-        steer the fetch engine."""
-        if self._diverge_hints is None:
-            table = self._cached_hint_table(_HINT_KINDS["dmp"])
-            if table is None:
-                selections = self.selections
-                t0 = time.perf_counter()
-                table = build_hint_table(
-                    selections, self.thresholds, multiple_cfm=True
-                )
-                check_hint_table(self.program, table)
-                self._timed("select", t0)
-                self._store_hint_table(_HINT_KINDS["dmp"], table)
-            self._diverge_hints = table
-        return self._diverge_hints
+    @property
+    def loop_hints(self) -> HintTable:
+        """The Section 2.7.4 loop-predication table: every diverge hint
+        plus an ``is_loop`` hint per hard-to-predict loop exit (a forward
+        hint wins a PC collision)."""
+        return self._hint_table("hints-loop", lambda: self._select(
+            _with_loop_hints, self.diverge_hints, self.program, self.trace,
+            self.profile, self.thresholds,
+        ))
 
     @property
     def hammock_hints(self) -> HintTable:
         """The DHP hint table: simple hammocks whose branches are actually
         hard to predict (same rate floor the DMP selection uses, so the
         DHP-vs-DMP comparison is apples-to-apples)."""
-        if self._hammock_hints is None:
-            table = self._cached_hint_table(_HINT_KINDS["dhp"])
-            if table is None:
-                profile = self.profile
-                t0 = time.perf_counter()
-                table = find_simple_hammocks(
-                    self.program,
-                    profile=profile,
-                    min_misprediction_rate=self.thresholds.min_misprediction_rate,
-                )
-                check_hint_table(self.program, table)
-                self._timed("select", t0)
-                self._store_hint_table(_HINT_KINDS["dhp"], table)
-            self._hammock_hints = table
-        return self._hammock_hints
+        return self._hint_table("hints-dhp", lambda: self._select(
+            find_simple_hammocks, self.program, profile=self.profile,
+            min_misprediction_rate=self.thresholds.min_misprediction_rate,
+        ))
 
     @property
     def wish_hints(self) -> HintTable:
         """The wish-branch table: if-convertible regions whose branches
         are hard to predict (same rate floor as the other machines)."""
-        if self._wish_hints is None:
-            table = self._cached_hint_table(_HINT_KINDS["wish"])
-            if table is None:
-                from repro.profiling.wish_selection import select_wish_branches
-
-                profile = self.profile
-                t0 = time.perf_counter()
-                table, _ = select_wish_branches(
-                    self.program,
-                    profile=profile,
-                    min_misprediction_rate=self.thresholds.min_misprediction_rate,
-                )
-                check_hint_table(self.program, table)
-                self._timed("select", t0)
-                self._store_hint_table(_HINT_KINDS["wish"], table)
-            self._wish_hints = table
-        return self._wish_hints
+        return self._hint_table("hints-wish", lambda: self._select(
+            _wish_table, self.program, profile=self.profile,
+            min_misprediction_rate=self.thresholds.min_misprediction_rate,
+        ))
 
     def prepare(self, configs: Iterable[MachineConfig] = ()) -> None:
         """Materialize every machine-independent artifact the given
@@ -314,7 +310,12 @@ class BenchmarkContext:
     # -- simulation ---------------------------------------------------------
 
     def hints_for(self, config: MachineConfig) -> Optional[HintTable]:
+        """The hint table ``config``'s machine reads, or ``None`` for the
+        hint-free modes (baseline, dual-path, and ``mpp``, which learns
+        its merge points at run time)."""
         if config.mode == "dmp":
+            if config.loop_predication:
+                return self.loop_hints
             return self.diverge_hints
         if config.mode == "dhp":
             return self.hammock_hints
@@ -394,6 +395,20 @@ class BenchmarkContext:
         return stats
 
 
+def _with_loop_hints(diverge, program, trace, profile, thresholds):
+    """``diverge`` merged with the loop-exit hints (forward hints win)."""
+    loops = select_diverge_loop_branches(program, trace, profile, thresholds)
+    return merge_hint_tables(diverge, loops)
+
+
+def _wish_table(program, **kwargs) -> HintTable:
+    """The table half of :func:`select_wish_branches`."""
+    from repro.profiling.wish_selection import select_wish_branches
+
+    table, _ = select_wish_branches(program, **kwargs)
+    return table
+
+
 #: The machine configurations of Figure 7 (basic DMP study).
 def figure7_configs() -> Dict[str, MachineConfig]:
     return {
@@ -434,7 +449,7 @@ class SuiteTimings:
     #: Profile run 1 (edge counts + mispredictions).
     profile_seconds: float = 0.0
     #: Diverge selection (profile run 2 + Section 3.2 rules) and the
-    #: dmp/dhp/wish hint-table builds.
+    #: dmp/loop/dhp/wish hint-table builds.
     select_seconds: float = 0.0
     #: Aggregate simulation seconds (across workers when parallel, so it
     #: can exceed ``wall_seconds``).
@@ -528,10 +543,6 @@ class SuiteResult:
                 )
             out[benchmark] = 100.0 * (per_config[label].ipc / base_ipc - 1.0)
         return out
-
-    def mean_improvement(self, label: str, base: str = "base") -> float:
-        values = list(self.ipc_improvements(label, base).values())
-        return sum(values) / len(values) if values else 0.0
 
 
 def _context_snapshot(context: BenchmarkContext) -> Tuple:

@@ -175,7 +175,7 @@ def table2(config: Optional[MachineConfig] = None) -> FigureResult:
     rows = [
         ["fetch width", config.fetch_width],
         ["conditional branches/cycle", config.max_branches_per_cycle],
-        ["fetch ends at taken branch", config.fetch_stops_at_taken],
+        ["fetch ends at taken branch", True],
         ["pipeline depth (min mispredict penalty)", config.pipeline_depth],
         ["reorder buffer", config.rob_size],
         ["retire width", config.retire_width],

@@ -48,12 +48,3 @@ def _is_numeric(cell: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def format_series(name: str, values: dict, unit: str = "") -> str:
-    """One labelled data series, benchmark -> value."""
-    parts = [f"{name}:"]
-    for key, value in values.items():
-        rendered = f"{value:.2f}" if isinstance(value, float) else str(value)
-        parts.append(f"  {key:10s} {rendered}{unit}")
-    return "\n".join(parts)

@@ -102,8 +102,6 @@ def profile_trace(
         edges = profile.edge_profile(record.function)
         if prev_block is not None and prev_function == record.function:
             edges.record_edge(prev_block.name, block.name)
-        else:
-            edges.record_entry(block.name)
         if record.taken is not None:
             instr = block.instructions[-1]
             stats = profile.branches.get(instr.pc)

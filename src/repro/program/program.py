@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.cfg.graph import BasicBlock, ControlFlowGraph
-from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
+from repro.isa.instructions import INSTRUCTION_BYTES
 
 ENTRY_FUNCTION = "main"
 
@@ -84,10 +84,6 @@ class Program:
         """Return ``(function_name, block, index_within_block)`` for a PC."""
         self._require_sealed()
         return self._block_of_pc[pc]
-
-    def instruction_at(self, pc: int) -> Instruction:
-        _, block, index = self.locate(pc)
-        return block.instructions[index]
 
     def block_starting_at(self, pc: int) -> Optional[Tuple[str, BasicBlock]]:
         """The block whose *first* instruction is at ``pc``, if any."""

@@ -295,7 +295,7 @@ class _EpState:
 
     __slots__ = (
         "ci", "cycle", "slots", "bl", "du", "w", "hw", "mb", "depth",
-        "rob", "rw", "stops", "ghr", "rr", "ring", "wr", "last", "cnt",
+        "rob", "rw", "ghr", "rr", "ring", "wr", "last", "cnt",
         "seq", "seq0",
         "fc", "ex", "rb", "mp", "fl", "cd", "pf", "lw",
     )
@@ -695,9 +695,6 @@ class _Group:
         self.depth = np.array([c.pipeline_depth for c in cfg], i8)
         self.rw = np.array([c.retire_width for c in cfg], i8)
         self.rob = np.array([c.rob_size for c in cfg], i8)
-        self.stops = np.array(
-            [int(c.fetch_stops_at_taken) for c in cfg], i8
-        )
         self.isdual = np.array([c.mode == "dualpath" for c in cfg], bool)
         self.ispred = np.array(
             [c.mode in ("dmp", "dhp") for c in cfg], bool
@@ -779,7 +776,6 @@ class _Group:
         self.pwidth = self.width.tolist()
         self.phalfw = self.halfw.tolist()
         self.pmaxb = self.maxb.tolist()
-        self.pstops = self.stops.tolist()
         self.pRL0 = self.RL0.tolist()
         self.pRS0 = self.RS0.tolist()
         self.pLLAT = self.LLAT.tolist()
@@ -878,7 +874,7 @@ class _Group:
         if 0 < bound < 2**31 - 2:
             for name in (
                 "RLAT", "BRLAT", "LLAT", "REXTRA", "RUNDER",
-                "width", "halfw", "maxb", "depth", "rw", "stops",
+                "width", "halfw", "maxb", "depth", "rw",
                 "cycle", "slots", "branches", "dual", "last", "cnt",
                 "RR", "RING", "SREADY", "SPREADYP",
             ):
@@ -1256,7 +1252,8 @@ class _Group:
         if isjc.any():
             sitecol = np.where(isjc, self.SITE[b], self.sitejunk)
             seen = self.BTBSEEN[vc, sitecol]
-            nadv = np.where(isjc, ~seen + self.stops[vc], 0)
+            # Fetch stops at the transfer, plus a bubble on a BTB miss.
+            nadv = np.where(isjc, 1 + ~seen, 0)
             self.BTBSEEN[vc, sitecol] = True
         isrt = term == TERM_RET
         if isrt.any():
@@ -1380,7 +1377,7 @@ class _Group:
             if taken.any():
                 sitecol = np.where(taken, site[ok], self.sitejunk)
                 seen = self.BTBSEEN[oc, sitecol]
-                nadv = np.where(taken, ~seen + self.stops[oc], 0)
+                nadv = np.where(taken, 1 + ~seen, 0)
                 self.BTBSEEN[oc, sitecol] = True
             c2 = fetchc[ok] + nadv
             moved = nadv > 0
@@ -1501,18 +1498,12 @@ class _Group:
                 ghr_out = ghr_new
                 if pred:
                     # _taken_redirect (seen-bit BTB + stop-at-taken).
-                    nadv = 0
+                    c2 = fetchc + 1
                     if not self.BTBSEEN[ci, site]:
                         self.BTBSEEN[ci, site] = True
-                        nadv += 1
-                    nadv += self.pstops[ci]
-                    if nadv:
-                        c2 = fetchc + nadv
-                        s2 = (
-                            self.phalfw[ci] if c2 <= dual
-                            else self.pwidth[ci]
-                        )
-                        b2 = self.pmaxb[ci]
+                        c2 += 1
+                    s2 = self.phalfw[ci] if c2 <= dual else self.pwidth[ci]
+                    b2 = self.pmaxb[ci]
             return (c2, s2, b2, ghr_out, dual, int(misp), 0, 1, cd, cik)
 
         # _mispredict_flush: walk the predicted (wrong) path, then

@@ -443,8 +443,7 @@ class EpisodeGang:
                     if newsite:
                         G.BTBSEEN[st.ci, site] = True
                         ep_adv(st, None)
-                    if st.stops:
-                        ep_adv(st, None)
+                    ep_adv(st, None)
             else:
                 b = step[1]
                 nr = step[2]
@@ -466,8 +465,7 @@ class EpisodeGang:
                     if step[7]:
                         G.BTBSEEN[st.ci, step[6]] = True
                         ep_adv(st, None)
-                    if st.stops:
-                        ep_adv(st, None)
+                    ep_adv(st, None)
             k += 1
 
     def _replay_static(self, sk: _StaticSkel, st: _EpState, res: int,
@@ -551,7 +549,6 @@ class EpisodeGang:
         st.depth = G.pdepth[ci]
         st.rob = G.prob[ci]
         st.rw = G.prw[ci]
-        st.stops = G.pstops[ci]
         st.rr = G.RR[ci].tolist()
         st.ring = G.RING[ci]
         st.wr = []
@@ -584,8 +581,7 @@ class EpisodeGang:
             if self.newsite0:
                 G.BTBSEEN[ci, self.site0] = True
                 _ep_adv(st, None)
-            if st.stops:
-                _ep_adv(st, None)
+            _ep_adv(st, None)
         if misp:
             pout = self._replay_static(self.pskel, st, res, limit)
             ppos = -1

@@ -39,7 +39,6 @@ class MachineConfig:
     # Front end (Table 2)
     fetch_width: int = 8
     max_branches_per_cycle: int = 3
-    fetch_stops_at_taken: bool = True
     pipeline_depth: int = 30
     # Execution core (Table 2)
     rob_size: int = 512

@@ -53,11 +53,6 @@ class TraceCursor:
     def restore(self, position: int) -> None:
         self.index = position
 
-    def peek_block(self) -> Optional[BasicBlock]:
-        if self.exhausted:
-            return None
-        return self.trace.records[self.index].block
-
 
 class StaticWalker:
     """Predictor-guided walk of the static program from a given block.

@@ -84,9 +84,6 @@ class RegisterAliasTable:
         """Clear all M bits (done on entering dynamic-predication mode)."""
         self._modified = [False] * self.num_regs
 
-    def modified_registers(self) -> Tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self._modified) if m)
-
     # -- checkpoints ------------------------------------------------------------
 
     def checkpoint(self) -> RatCheckpoint:

@@ -334,13 +334,12 @@ class TimingSimulator:
             self._advance_fetch_cycle(self.cycle + extra)
 
     def _taken_redirect(self, pc: int, target_pc: int) -> None:
-        """A predicted-taken transfer ends the fetch cycle; a BTB miss adds
-        a bubble while the target is computed."""
+        """A predicted-taken transfer ends the fetch cycle (Table 2); a
+        BTB miss adds a bubble while the target is computed."""
         if self.btb.lookup(pc) != target_pc:
             self.btb.insert(pc, target_pc)
             self._advance_fetch_cycle()  # bubble
-        if self.config.fetch_stops_at_taken:
-            self._advance_fetch_cycle()
+        self._advance_fetch_cycle()
 
     # ------------------------------------------------------------------
     # Execution / retirement accounting

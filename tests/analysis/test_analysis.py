@@ -21,12 +21,10 @@ class TestWrongPathBreakdown:
         assert b.pct_wrong_cd == 30.0
         assert b.pct_wrong_ci == 20.0
         assert b.pct_wrong == 50.0
-        assert b.ci_share_of_wrong == 0.4
 
     def test_zero_safe(self):
         b = WrongPathBreakdown("x", 0, 0, 0)
         assert b.pct_wrong == 0.0
-        assert b.ci_share_of_wrong == 0.0
 
 
 def make_profile(branch_defs):
@@ -76,7 +74,6 @@ class TestClassification:
         hammocks.add(0x10, DivergeHint((1,)))
         result = classify_mispredictions("x", profile, diverge, hammocks)
         assert result.diverge_share == 0.6
-        assert result.hammock_share == 0.6
 
     def test_zero_mispredictions(self):
         result = MispredictionClassification("x", 1000, 0, 0, 0)

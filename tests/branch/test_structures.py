@@ -54,6 +54,6 @@ class TestRAS:
         ras.pop()
         ras.pop()
         ras.restore(snap)
-        assert ras.peek() == 1
-        assert len(ras) == 1
+        assert ras.pop() == 1
+        assert ras.pop() is None
 

@@ -55,11 +55,6 @@ class TestNaturalLoops:
     def test_acyclic_cfg_has_none(self):
         assert natural_loops(no_loops()) == []
 
-    def test_exit_edges(self):
-        cfg = simple_loop()
-        loop = natural_loops(cfg)[0]
-        assert loop.exit_edges(cfg) == [("head", "exit")]
-
 
 class TestLoopExitBranches:
     def test_simple_loop_exit(self):

@@ -30,14 +30,6 @@ class TestEdgeProfile:
         assert p.edge_count("A", "B") == 5
         assert p.edge_count("A", "C") == 1
         assert p.edge_count("A", "Z") == 0
-        assert p.outgoing_total("A") == 6
-
-    def test_block_counts(self):
-        p = EdgeProfile("f")
-        p.record_entry("A")
-        p.record_edge("A", "B", count=3)
-        assert p.block_count("A") == 1
-        assert p.block_count("B") == 3
 
     def test_edges_iteration_sorted(self):
         p = EdgeProfile("f")

@@ -124,7 +124,6 @@ def test_mixed_mode_grid_bit_identical():
         MachineConfig.dmp(dpred_ghr_policy="alternate"),
         MachineConfig.dmp(dpred_path_limit=24),
         MachineConfig.dhp(retire_width=8, pipeline_depth=30),
-        MachineConfig.dhp(fetch_stops_at_taken=True),
         MachineConfig.baseline(),
         MachineConfig.dualpath(),
     ]

@@ -1,24 +1,8 @@
-"""Unit tests for the Table 1 exit cases and the CFM CAM."""
+"""Unit tests for the CFM CAM."""
 
 import pytest
 
 from repro.core.cfm import CfmCam
-from repro.core.modes import ExitCase
-
-
-class TestExitCase:
-    """Properties of Table 1's rows."""
-
-    def test_only_case6_flushes(self):
-        flushing = [case for case in ExitCase if case.flushes_pipeline]
-        assert flushing == [ExitCase.FLUSH]
-
-    def test_saved_mispredictions(self):
-        saving = [case for case in ExitCase if case.saves_misprediction]
-        assert saving == [
-            ExitCase.NORMAL_MISPREDICTED,
-            ExitCase.CONTINUE_ALTERNATE,
-        ]
 
 
 class TestCfmCam:
@@ -37,7 +21,6 @@ class TestCfmCam:
         cam.lock(0x3000)
         assert cam.matches(0x3000)
         assert not cam.matches(0x2000)
-        assert cam.locked_pc == 0x3000
         assert cam.entries == (0x3000,)
 
     def test_lock_requires_live_entry(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.cfg.builder import CFGBuilder
 from repro.core.dpred import PredicationAwareSimulator
 from repro.core.modes import ExitCase
-from repro.core.processors import simulate, wish_branch_processor
+from repro.core.processors import simulate
 from repro.isa.instructions import Condition
 from repro.profiling.wish_selection import (
     select_wish_branches,
@@ -159,16 +159,6 @@ class TestWishMachine:
         # Predicating a perfectly-predictable branch costs cycles.
         assert easy.cycles >= base.cycles
 
-    def test_facade(self):
-        rng = random.Random(7)
-        values = [rng.randrange(2) for _ in range(100)]
-        program, memory = hammock_loop(values)
-        trace = Interpreter(program, memory=memory).run()
-        table, _ = select_wish_branches(program)
-        sim = wish_branch_processor(program, trace, table)
-        stats = sim.run()
-        assert stats.config_description.startswith("wish")
-
     def test_simulate_dispatches_wish(self):
         rng = random.Random(7)
         values = [rng.randrange(2) for _ in range(100)]
@@ -178,6 +168,7 @@ class TestWishMachine:
         stats = simulate(
             program, trace, MachineConfig.wish(), hints=table
         )
+        assert stats.config_description.startswith("wish")
         assert stats.retired_instructions == trace.instruction_count
 
     def test_wish_requires_hints(self):

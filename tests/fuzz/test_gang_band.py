@@ -26,7 +26,7 @@ _PROBE_SEEDS = range(24)
 
 
 def _gang_cells(ctx: FuzzProgram):
-    hints = ctx.hints_for(GANG_MODE)
+    hints = ctx.hints_for(MachineConfig.dmp())
     warm = ctx.workload.memory.warm_words()
     return [
         BatchCell(

@@ -79,6 +79,13 @@ class TestParallelEqualsSerial:
             )
         assert result.stats("parser", "dmp").oracle_checks > 0
 
+    def test_loop_predication_matches_serial(self):
+        configs = {"loop": MachineConfig.dmp(loop_predication=True)}
+        serial = run_suite(configs, ("parser",), iterations=SMALL)
+        par = run_suite(configs, ("parser",), iterations=SMALL, jobs=2)
+        assert par == serial
+        assert par.stats("parser", "loop").loop_iteration_saves > 0
+
     def test_bad_jobs_rejected(self):
         with pytest.raises(ReproError):
             run_suite(small_configs(), ("gzip",), iterations=SMALL, jobs=0)
@@ -153,6 +160,21 @@ class TestPersistentCache:
         rebuilt = BenchmarkContext("parser", iterations=SMALL, cache=cache)
         assert rebuilt.diverge_hints.to_bytes() == expected
         assert cache.counters.corrupt_discarded == 1
+
+    def test_loop_table_cached_under_its_own_kind(self, tmp_path):
+        cold = BenchmarkContext(
+            "parser", iterations=SMALL, cache=ArtifactCache(tmp_path)
+        )
+        expected = cold.loop_hints.to_bytes()
+        assert list((tmp_path / "hints-loop").glob("*.bin"))
+
+        warm = BenchmarkContext(
+            "parser", iterations=SMALL, cache=ArtifactCache(tmp_path)
+        )
+        assert warm.loop_hints.to_bytes() == expected
+        # Served from disk: no interpretation, profiling or selection.
+        for stage in ("interpret", "profile", "select"):
+            assert warm.stage_seconds[stage] == 0.0, stage
 
     def test_valid_checksum_bad_pickle_recovered(self, tmp_path):
         """A checksummed entry whose payload no longer unpickles (stale

@@ -84,7 +84,6 @@ class TestPcAssignment:
                     assert function == cfg.name
                     assert found_block is block
                     assert found_index == index
-                    assert program.instruction_at(instr.pc) is instr
 
     def test_block_starting_at(self):
         program = two_function_program()
