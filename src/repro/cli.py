@@ -118,6 +118,18 @@ def _add_trace_flags(parser) -> None:
                         help="trace into DIR instead (implies --trace)")
 
 
+#: ``--engine`` help for ``suite`` and ``figure``; the crossover is
+#: measured in docs/performance.md ("Why the batch engine runs no
+#: generated code").
+_ENGINE_HELP = (
+    "simulation engine override (results are bit-identical); 'batch' "
+    "runs every cell through the vectorized lockstep engine, which pays "
+    "off only when many configurations share each trace: measured "
+    "slower than 'fast' with 4 or fewer configurations per benchmark, "
+    "faster with 8 or more (docs/performance.md)"
+)
+
+
 def _resolve_cache(args) -> Optional[ArtifactCache]:
     """The cache selected by ``--cache-dir`` / ``--no-cache`` /
     ``REPRO_CACHE_DIR`` (in that precedence), or ``None``."""
@@ -716,10 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(results are bit-identical to --jobs 1)")
     p_suite.add_argument("--engine", default="",
                          choices=["", "fast", "reference", "batch"],
-                         help="simulation engine override; 'batch' runs "
-                              "every cell through the vectorized lockstep "
-                              "engine (bit-identical, much faster for "
-                              "sweeps)")
+                         help=_ENGINE_HELP)
     p_suite.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="persist traces/profiles/hints/stats under "
                               "PATH and reuse them on later runs (default: "
@@ -744,10 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan simulations out over N worker processes")
     p_fig.add_argument("--engine", default="",
                        choices=["", "fast", "reference", "batch"],
-                       help="simulation engine override; 'batch' runs "
-                            "every cell through the vectorized lockstep "
-                            "engine (bit-identical, much faster for "
-                            "sweeps)")
+                       help=_ENGINE_HELP)
     p_fig.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="persist traces/profiles/hints/stats under "
                             "PATH and reuse them on later runs (default: "

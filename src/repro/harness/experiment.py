@@ -323,24 +323,24 @@ class BenchmarkContext:
             return self.wish_hints
         return None
 
-    def _effective_config(self, config: MachineConfig) -> MachineConfig:
-        """The configuration that will actually run, mirroring the
-        paranoid-mode upgrade in :func:`repro.core.processors.simulate`
-        — so memo/cache keys always describe the run they index."""
+    @staticmethod
+    def sim_key(config: MachineConfig) -> str:
+        """Canonical memo key for one simulation under ``config``: the
+        fingerprint of the configuration that will actually run,
+        mirroring the paranoid-mode upgrade in
+        :func:`repro.core.processors.simulate` — so memo/cache keys
+        always describe the run they index.  It does not depend on the
+        benchmark, so a suite run computes it once per configuration."""
         if paranoid_enabled() and not (
             config.oracle_checks and config.watchdog
         ):
-            return config.hardened()
-        return config
+            config = config.hardened()
+        return config_fingerprint(config)
 
-    def sim_key(self, config: MachineConfig) -> str:
-        """Canonical memo key for one simulation of this context."""
-        return config_fingerprint(self._effective_config(config))
-
-    def cached_stats(self, config: MachineConfig) -> Optional[SimStats]:
-        """Already-known stats for ``config`` (in-memory memo first,
-        then the on-disk cache), or ``None``.  Counts hits."""
-        key = self.sim_key(config)
+    def cached_stats(self, key: str) -> Optional[SimStats]:
+        """Already-known stats under the :meth:`sim_key` ``key``
+        (in-memory memo first, then the on-disk cache), or ``None``.
+        Counts hits."""
         stats = self._sim_cache.get(key)
         if stats is not None:
             self.sim_memo_hits += 1
@@ -353,10 +353,10 @@ class BenchmarkContext:
                 return stats
         return None
 
-    def store_stats(self, config: MachineConfig, stats: SimStats) -> None:
+    def store_stats(self, key: str, stats: SimStats) -> None:
         """Adopt externally-computed stats (e.g. from a worker process)
-        into the memo and the on-disk cache."""
-        key = self.sim_key(config)
+        into the memo and the on-disk cache under the :meth:`sim_key`
+        ``key``."""
         self._sim_cache[key] = stats
         if self._cache is not None:
             self._cache.store_pickle("sim", f"{self.fingerprint}-{key}", stats)
@@ -370,10 +370,11 @@ class BenchmarkContext:
         differ in insertion order share one run, and every field
         participates in the key (``repr`` omissions cannot collide two
         different configs onto the same cached stats)."""
+        key = self.sim_key(config)
         if tracer is None:
             # A traced run cannot be satisfied from the memo/cache: the
             # event stream only exists if the simulator actually runs.
-            stats = self.cached_stats(config)
+            stats = self.cached_stats(key)
             if stats is not None:
                 return stats
         hints = self.hints_for(config)  # timed as "select" if first use
@@ -391,7 +392,7 @@ class BenchmarkContext:
         )
         self._timed("simulate", t0)
         self.sims_run += 1
-        self.store_stats(config, stats)
+        self.store_stats(key, stats)
         return stats
 
 
@@ -647,21 +648,24 @@ def _execute_batch(
     """
     from repro.uarch.batch import BatchCell, run_batch
 
+    # Each label's batch config and memo key, derived once per suite run
+    # (neither depends on the benchmark).
+    plan: Dict[str, Tuple[MachineConfig, str]] = {}
+    for label, config in configs.items():
+        if config.engine != "batch":
+            config = config.replace(engine="batch")
+        plan[label] = (config, BenchmarkContext.sim_key(config))
     cells: List = []
-    meta: List[Tuple[BenchmarkContext, str, MachineConfig]] = []
+    meta: List[Tuple[BenchmarkContext, str, str]] = []
     for context in run_contexts:
-        for label, config in configs.items():
-            effective = (
-                config if config.engine == "batch"
-                else config.replace(engine="batch")
-            )
+        for label, (effective, key) in plan.items():
             if trace_dir is not None:
                 stats = _simulate_cell(
                     context, label, effective, trace_dir, verbose
                 )
                 result.add(context.name, label, stats)
                 continue
-            stats = context.cached_stats(effective)
+            stats = context.cached_stats(key)
             if stats is not None:
                 result.add(context.name, label, stats)
                 continue
@@ -671,7 +675,7 @@ def _execute_batch(
                 context.program, context.trace, effective, hints=hints,
                 benchmark=context.name, warm_words=warm,
             ))
-            meta.append((context, label, effective))
+            meta.append((context, label, key))
     if not cells:
         return
     fell_before = sum(timings.batch_fallbacks.values())
@@ -689,10 +693,10 @@ def _execute_batch(
         from repro.uarch.batch.arena import trim_arena_caches
 
         trim_arena_caches()
-    for (context, label, effective), stats in zip(meta, stats_list):
+    for (context, label, key), stats in zip(meta, stats_list):
         context.stage_seconds["simulate"] += per_cell
         context.sims_run += 1
-        context.store_stats(effective, stats)
+        context.store_stats(key, stats)
         result.add(context.name, label, stats)
         if verbose:
             print(

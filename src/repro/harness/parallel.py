@@ -108,6 +108,8 @@ def run_simulations_parallel(
     With ``trace_dir`` set, every cell runs in a worker and streams its
     own JSONL event trace — cached stats cannot produce the event
     stream, so stage 1's cache resolution is skipped entirely."""
+    from repro.harness.experiment import BenchmarkContext
+
     out = ParallelStats()
     by_name = {context.name: context for context in contexts}
     if len(by_name) != len(contexts):
@@ -118,11 +120,15 @@ def run_simulations_parallel(
     # Stage 1: resolve cells the memo / persistent cache already has
     # (no artifacts needed to compute the keys — a fully cache-warm run
     # skips profiling entirely).  Traced runs resolve nothing here.
+    keys = {
+        label: BenchmarkContext.sim_key(config)
+        for label, config in configs.items()
+    }
     pending: List[Tuple[str, str, MachineConfig, str]] = []
     for context in contexts:
         for label, config in configs.items():
             stats = None if trace_dir is not None else (
-                context.cached_stats(config)
+                context.cached_stats(keys[label])
             )
             if stats is not None:
                 out[(context.name, label)] = stats
@@ -164,7 +170,7 @@ def run_simulations_parallel(
             out.worker_seconds += elapsed
             out.worker_runs += 1
             # Stage 4 (incremental): adopt into the parent memo + cache.
-            by_name[benchmark].store_stats(configs[label], stats)
+            by_name[benchmark].store_stats(keys[label], stats)
             if verbose:
                 print(
                     f"  {benchmark:8s} {label:24s} IPC={stats.ipc:.3f} "

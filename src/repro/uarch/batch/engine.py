@@ -21,15 +21,19 @@ engine's inlined per-row sequence literally (ROB-window stall, slot
 exhaustion, dual-path fetch-width selection, dependence wakeup,
 retirement), with `where` masks in place of branches.
 
-The one deliberately *scalar* piece is the wrong-path walk: when a cell
-mispredicts (or dual-path forks), its walk runs synchronously in plain
-Python — an exact transcription of ``_walk_wrong_path_fast`` — before
-the lockstep loop continues.  Walks touch only the fetch-cycle
-accounting and the speculative global history (never caches, store
-buffer, BTB, RAS or ROB), are rare (one per misprediction), and are
-cheap integer arithmetic; vectorizing them would force every cell to
-wait one driver iteration per walked *block*, which measures far slower
-than stepping the few walking cells inline.
+The deliberately *scalar* pieces — the wrong-path walk, the row tail
+(:func:`_tail_rows`) and the dpred episodes of
+:mod:`repro.uarch.batch.gang` — are plain Python loops on ints over the
+per-block row tuples (``pROWS``); nothing here generates code
+(docs/performance.md, "Why the batch engine runs no generated code").
+A cell that mispredicts (or dual-path forks) walks its wrong path
+synchronously — an exact transcription of ``_walk_wrong_path_fast`` —
+before the lockstep loop continues.  Walks
+touch only the fetch-cycle accounting and the speculative global
+history (never caches, store buffer, BTB, RAS or ROB), are rare (one
+per misprediction), and are cheap integer arithmetic; vectorizing them
+would force every cell to wait one driver iteration per walked *block*,
+which measures far slower than stepping the few walking cells inline.
 
 The static tables come from :mod:`repro.uarch.batch.arena`: per-program
 block decode plus a per-trace replay of everything timing-independent
@@ -101,181 +105,94 @@ _RING_PREGATHER = 512
 _TRACE, _DONE = 0, 2
 
 
-def _compile_row_loop(rows, nr: int, variant: str, anydp: bool = False):
-    """exec-compile one block's scalar row loop, unrolled.
+def _flush_ring(ring, wr, sq0: int, rob: int) -> None:
+    """Write a retire log back to the numpy retirement ring.
 
-    The interpreted row loops spend most of their time on bookkeeping
-    the block makes constant: tuple unpacking, the kind dispatch, the
-    source iteration.  Unrolling the ``nr`` rows with those constants
-    folded into the source keeps the statements — and therefore the
-    arithmetic, in the same order on the same ints — identical to the
-    loops this replaces, while roughly halving the per-row cost.
-
-    ``variant="tail"`` is the step loop's scalar row tail (resumable at
-    any starting row ``i0`` via per-row guards); ``variant="ep"`` is an
-    episode's on-trace block, replayed by
-    :meth:`~repro.uarch.batch.gang.EpisodeGang.run_lane` (all rows,
-    predicated load/store rules, state carried on the ``_EpState``).
-    """
-    out = []
-    a = out.append
-    # Both variants keep the ring on the numpy row: reads only fire
-    # once the window is full (one scalar gather per row, and rows
-    # written since the write log opened at ``sq0`` are served from the
-    # log), and the writes — consecutive sequence numbers — go back as
-    # one circular span, so a lane never pays to convert or copy the
-    # full ROB.  The tail flushes its span here; an episode's log spans
-    # several calls and is flushed once by ``gang._ep_finish``.
-    if variant == "tail":
-        a("def _f(i0, l0, s0, cyc, sl, blv, du, wt, hwt, mbt, dept,"
-          " robv, rwt, lastt, cntt, sq0, rr, ring, srd, spr, lfwd,"
-          " llat):")
-        a(" lwc = 0; seq = sq0; wr = []; wa = wr.append")
-    else:
-        a("def _f(st, l0, s0, res, pid, srd, spr, spid, lfwd, llat):")
-        a(" cyc = st.cycle; sl = st.slots; blv = st.bl")
-        a(" du = st.du; wt = st.w; hwt = st.hw; mbt = st.mb")
-        a(" dept = st.depth; robv = st.rob; rwt = st.rw")
-        a(" lastt = st.last; cntt = st.cnt; seq = st.seq")
-        a(" rr = st.rr; ring = st.ring; sq0 = st.seq0")
-        a(" wr = st.wr; wa = wr.append; lwc = 0")
-    for idx in range(nr):
-        kind, lat, _lat1, dest, srcs, lord, stord = rows[idx]
-        p = " "
-        if variant == "tail":
-            a(f" if i0 <= {idx}:")
-            p = "  "
-        a(f"{p}if seq >= robv:")
-        a(f"{p} j = seq - robv")
-        a(f"{p} oldest = wr[j - sq0] if j >= sq0 else ring[j % robv]")
-        a(f"{p} if cyc < oldest:")
-        a(f"{p}  cyc = oldest; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(f"{p}if sl <= 0:")
-        a(f"{p} cyc += 1; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(f"{p}sl -= 1")
-        a(f"{p}base = cyc + dept")
-        for s_ in srcs:
-            a(f"{p}rdy = rr[{s_}]")
-            a(f"{p}if rdy > base: base = rdy")
-        if kind == KIND_LOAD:
-            a(f"{p}fwd = lfwd[l0 + {lord}]")
-            a(f"{p}if fwd >= 0:")
-            if variant == "ep":
-                a(f"{p} pready = int(spr[fwd])")
-                a(f"{p} if base >= pready or spid.get(fwd) == pid:")
-                a(f"{p}  sv = int(srd[fwd])")
-                a(f"{p}  comp = (sv if sv > base else base) + 1")
-                a(f"{p} else:")
-                a(f"{p}  lwc += 1; comp = pready + 2")
-            elif anydp:
-                a(f"{p} if base < spr[fwd]:")
-                a(f"{p}  lwc += 1; comp = int(spr[fwd]) + 2")
-                a(f"{p} else:")
-                a(f"{p}  sv = int(srd[fwd])")
-                a(f"{p}  comp = (sv if sv > base else base) + 1")
-            else:
-                a(f"{p} sv = int(srd[fwd])")
-                a(f"{p} comp = (sv if sv > base else base) + 1")
-            a(f"{p}else:")
-            a(f"{p} comp = base + llat[l0 + {lord}]")
-        elif kind == KIND_STORE:
-            a(f"{p}comp = base + 1")
-            if variant == "ep":
-                a(f"{p}ordn = s0 + {stord}")
-                a(f"{p}srd[ordn] = comp; spr[ordn] = res")
-                a(f"{p}spid[ordn] = pid")
-            else:
-                a(f"{p}srd[s0 + {stord}] = comp")
+    ``wr`` holds retire cycles at consecutive sequence numbers from
+    ``sq0``, so it lands as one circular span of the ring row (a lane
+    never pays to convert or copy the full ROB)."""
+    nw = len(wr)
+    if nw >= rob:
+        b0 = sq0 + nw - rob
+        for off in range(rob):
+            ring[(b0 + off) % rob] = wr[nw - rob + off]
+    elif nw:
+        a0 = sq0 % rob
+        end = a0 + nw
+        if end <= rob:
+            ring[a0:end] = wr
         else:
-            a(f"{p}comp = base + {lat}")
-        if dest >= 0:
-            a(f"{p}rr[{dest}] = comp")
-        a(f"{p}rc = comp + 1")
-        a(f"{p}if rc < lastt: rc = lastt")
-        a(f"{p}if rc == lastt and cntt >= rwt: rc += 1")
-        a(f"{p}if rc > lastt: cntt = 1")
-        a(f"{p}else: cntt += 1")
-        a(f"{p}lastt = rc")
-        a(f"{p}wa(rc)")
-        a(f"{p}seq += 1")
-    if variant == "tail":
-        a(" nw = len(wr)")
-        a(" if nw >= robv:")
-        a("  b0 = sq0 + nw - robv")
-        a("  for off in range(robv):")
-        a("   ring[(b0 + off) % robv] = wr[nw - robv + off]")
-        a(" elif nw:")
-        a("  a0 = sq0 % robv")
-        a("  end = a0 + nw")
-        a("  if end <= robv:")
-        a("   ring[a0:end] = wr")
-        a("  else:")
-        a("   ring[a0:robv] = wr[:robv - a0]")
-        a("   ring[:end - robv] = wr[robv - a0:]")
-        a(" return cyc, sl, blv, lastt, cntt, lwc")
-    else:
-        a(" st.cycle = cyc; st.slots = sl; st.bl = blv")
-        a(" st.last = lastt; st.cnt = cntt; st.seq = seq")
-        a(" st.lw += lwc")
-    ns: dict = {}
-    exec("\n".join(out), ns)  # noqa: S102 - self-generated source
-    return ns["_f"]
+            ring[a0:rob] = wr[: rob - a0]
+            ring[: end - rob] = wr[rob - a0:]
 
 
-def _compile_static_block(rows, isbr: bool):
-    """exec-compile a predicate-FALSE static block
-    (``_fetch_static_dpred_block_fast``) for
-    ``EpisodeGang._replay_static``.
+def _tail_rows(rows, i0, nr, l0, s0, cyc, sl, blv, du, wt, hwt, mbt,
+               dept, robv, rwt, lastt, cntt, sq0, rr, ring, srd, spr,
+               lfwd, llat):
+    """The step loop's scalar row tail: rows ``i0 <= i < nr`` of one
+    lane's block, the reference engine's inlined per-row sequence on
+    plain ints (ROB-window stall, slot exhaustion, dependence wakeup,
+    load forwarding, retirement).
 
-    Static rows never retire and never touch the ring, so two folds on
-    top of the plain unrolling are sound: rows with no destination
-    compute nothing (their base/completion escape nowhere), and the
-    window-stall test runs once — ``oldest`` is frozen with the
-    sequence number and the cycle only grows, so after the first row
-    the test can never fire again.
-    """
-    out = []
-    a = out.append
-    a("def _f(st, oldest):")
-    a(" cyc = st.cycle; sl = st.slots; blv = st.bl")
-    a(" du = st.du; wt = st.w; hwt = st.hw; mbt = st.mb")
-    a(" dept = st.depth; rr = st.rr")
-    first = True
-    for kind, _lat, lat1, dest, srcs, _lo, _so in (
-        rows[:-1] if isbr else rows
-    ):
-        if first:
-            a(" if cyc < oldest:")
-            a("  cyc = oldest; sl = hwt if cyc <= du else wt; blv = mbt")
-            first = False
-        a(" if sl <= 0:")
-        a("  cyc += 1; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(" sl -= 1")
+    ``sq0`` is the sequence number of row ``i0``.  Window-stall reads
+    only fire once the window is full: rows retired since ``sq0`` are
+    served from the write log ``wr``, older ones from the numpy ring
+    row, and the log goes back to the ring as one span at the end.
+    ``spr`` is the store-predicate ready row when the group predicates
+    (a forward from a store whose predicate is still unresolved waits
+    for it), else None.  Returns ``(cycle, slots, branches, last, cnt,
+    load waits)``."""
+    lwc, seq, wr = 0, sq0, []
+    wa = wr.append
+    for kind, lat, _lat1, dest, srcs, lord, stord in rows[i0:nr]:
+        if seq >= robv:
+            j = seq - robv
+            oldest = wr[j - sq0] if j >= sq0 else ring[j % robv]
+            if cyc < oldest:
+                cyc = oldest
+                sl = hwt if cyc <= du else wt
+                blv = mbt
+        if sl <= 0:
+            cyc += 1
+            sl = hwt if cyc <= du else wt
+            blv = mbt
+        sl -= 1
+        base = cyc + dept
+        for s_ in srcs:
+            rdy = rr[s_]
+            if rdy > base:
+                base = rdy
+        if kind == KIND_LOAD:
+            fwd = lfwd[l0 + lord]
+            if fwd < 0:
+                comp = base + llat[l0 + lord]
+            elif spr is not None and base < spr[fwd]:
+                lwc += 1
+                comp = int(spr[fwd]) + 2
+            else:
+                sv = int(srd[fwd])
+                comp = (sv if sv > base else base) + 1
+        elif kind == KIND_STORE:
+            comp = base + 1
+            srd[s0 + stord] = comp
+        else:
+            comp = base + lat
         if dest >= 0:
-            a(" base = cyc + dept")
-            for s_ in srcs:
-                a(f" rdy = rr[{s_}]")
-                a(" if rdy > base: base = rdy")
-            a(f" rr[{dest}] = base + {2 if kind == KIND_LOAD else lat1}")
-    if isbr:
-        kind, _lat, lat1, dest, srcs, _lo, _so = rows[-1]
-        if first:
-            a(" if cyc < oldest:")
-            a("  cyc = oldest; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(" if sl <= 0 or blv <= 0:")
-        a("  cyc += 1; sl = hwt if cyc <= du else wt; blv = mbt")
-        a(" blv -= 1")
-        a(" sl -= 1")
-        if dest >= 0:
-            a(" base = cyc + dept")
-            for s_ in srcs:
-                a(f" rdy = rr[{s_}]")
-                a(" if rdy > base: base = rdy")
-            a(f" rr[{dest}] = base + {2 if kind == KIND_LOAD else lat1}")
-    a(" st.cycle = cyc; st.slots = sl; st.bl = blv")
-    ns: dict = {}
-    exec("\n".join(out), ns)  # noqa: S102 - self-generated source
-    return ns["_f"]
+            rr[dest] = comp
+        rc = comp + 1
+        if rc < lastt:
+            rc = lastt
+        if rc == lastt and cntt >= rwt:
+            rc += 1
+        if rc > lastt:
+            cntt = 1
+        else:
+            cntt += 1
+        lastt = rc
+        wa(rc)
+        seq += 1
+    _flush_ring(ring, wr, sq0, robv)
+    return cyc, sl, blv, lastt, cntt, lwc
 
 
 class _EpState:
@@ -820,11 +737,6 @@ class _Group:
         # offset keys the per-step structural walk cache (_WalkPath).
         self.ptgid = self.roffs.tolist()
         self._walk_cache: Dict[tuple, _WalkPath] = {}
-        # Per-block compiled row loops (see _compile_row_loop), built
-        # lazily for blocks the scalar tail / episodes actually touch.
-        self._tailfns: Dict[int, Any] = {}
-        self._epfns: Dict[int, Any] = {}
-        self._stfns: Dict[int, Any] = {}
         # Weight-divergence epochs.  Cells over one trace keep identical
         # predictor state (weights, GHR, JRS) until a dpred episode's
         # *outcome* first differs between them — training inputs are
@@ -1197,19 +1109,14 @@ class _Group:
             pRS0 = self.pRS0
             SREADY = self.SREADY
             SPREADYP = self.SPREADYP if anydp else None
-            fns = self._tailfns
+            pROWS = self.pROWS
             for t in range(pos[i0], m):
                 ci = int(vc[t])
-                bt = int(b[t])
-                fn = fns.get(bt)
-                if fn is None:
-                    fn = fns[bt] = _compile_row_loop(
-                        self.pROWS[bt], int(k[t]), "tail", anydp
-                    )
                 curt = int(cur[t])
                 rr = self.RR[ci].tolist()
-                cyc, sl, blv, lastt, cntt, lwc = fn(
-                    i0, pRL0[curt], pRS0[curt], int(c[t]), int(s[t]),
+                cyc, sl, blv, lastt, cntt, lwc = _tail_rows(
+                    pROWS[int(b[t])], i0, int(k[t]), pRL0[curt],
+                    pRS0[curt], int(c[t]), int(s[t]),
                     int(bl[t]), int(d[t]), int(w[t]), int(hw[t]),
                     int(mb[t]), int(dep[t]), int(rob[t]), int(rw[t]),
                     int(last[t]), int(cnt[t]), int(seq0[t]) + i0,
@@ -1444,8 +1351,8 @@ class _Group:
             )
             rg = self._run_gangs
             if rg is None:
-                # Deferred import: gang.py imports this module's row
-                # compilers, _EpState and predictor constants back.
+                # Deferred import: gang.py imports this module's ring
+                # flush, _EpState and predictor constants back.
                 from repro.uarch.batch.gang import run_gangs as rg
                 self._run_gangs = rg
             outs = rg(self, lanes)

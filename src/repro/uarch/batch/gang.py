@@ -1,4 +1,4 @@
-"""Ganged-episode kernels for the batch engine's dpred episodes.
+"""Ganged episodes: the batch engine's dpred episode implementation.
 
 On a config-grid sweep, many lanes reach the same diverge branch at the
 same record with bit-equal predictor state: cells over one trace share
@@ -15,11 +15,12 @@ times *temporally*: the gang lazily materialises a shared skeleton of
 path steps (one per trace record or static block), computing each
 prediction, perceptron train, JRS update and BTB seen-bit transition
 exactly once, while every lane replays the skeleton's timing against
-its own :class:`~repro.uarch.batch.engine._EpState` through the
-exec-compiled row kernels of :mod:`repro.uarch.batch.engine`.  Per-lane
-stop conditions (branch resolution reached, path-length limit) simply
-cut the replay short — a lane stopping at step ``k`` has applied
-exactly the first ``k`` predictor transitions, which is what the scalar
+its own :class:`~repro.uarch.batch.engine._EpState` through two plain
+row loops, :func:`_ep_rows` for on-trace blocks and
+:func:`_static_rows` for predicate-FALSE static blocks.  Per-lane stop
+conditions (branch resolution reached, path-length limit) simply cut
+the replay short — a lane stopping at step ``k`` has applied exactly
+the first ``k`` predictor transitions, which is what the scalar
 engines' ``_dpred_once_impl`` would have done.
 
 Shared predictor reads go through overlay dicts (weights rows, JRS
@@ -49,10 +50,11 @@ from repro.uarch.batch.engine import (
     _THETA,
     _WMAX,
     _WMIN,
-    _compile_row_loop,
-    _compile_static_block,
+    _flush_ring,
 )
 from repro.uarch.plan import (
+    KIND_LOAD,
+    KIND_STORE,
     TERM_BR,
     TERM_NONE,
     TERM_RET,
@@ -73,6 +75,112 @@ def _ep_adv(st: _EpState, to) -> None:
     st.bl = st.mb
 
 
+def _ep_rows(st: _EpState, rows, n: int, l0: int, s0: int, res: int,
+             pid: int, srd, spr, spid, lfwd, llat) -> None:
+    """An episode's on-trace block: the first ``n`` rows of ``rows``
+    fetched under predicate ``pid`` and retired into the lane's write
+    log (``_fetch_dpred_trace_path_fast``'s per-row sequence).
+
+    A load forwards from its store only once the store's predicate has
+    resolved, or when the store sits on this same path; otherwise it
+    waits for the predicate.  A store records its completion, its
+    predicate's resolution cycle ``res`` and its predicate id."""
+    cyc, sl, blv, du, wt, hwt = st.cycle, st.slots, st.bl, st.du, st.w, st.hw
+    mbt, dept, robv, rwt = st.mb, st.depth, st.rob, st.rw
+    lastt, cntt, seq, sq0 = st.last, st.cnt, st.seq, st.seq0
+    rr, ring, wr, lwc = st.rr, st.ring, st.wr, 0
+    wa = wr.append
+    for kind, lat, _lat1, dest, srcs, lord, stord in rows[:n]:
+        if seq >= robv:
+            j = seq - robv
+            oldest = wr[j - sq0] if j >= sq0 else ring[j % robv]
+            if cyc < oldest:
+                cyc = oldest
+                sl = hwt if cyc <= du else wt
+                blv = mbt
+        if sl <= 0:
+            cyc += 1
+            sl = hwt if cyc <= du else wt
+            blv = mbt
+        sl -= 1
+        base = cyc + dept
+        for s_ in srcs:
+            rdy = rr[s_]
+            if rdy > base:
+                base = rdy
+        if kind == KIND_LOAD:
+            fwd = lfwd[l0 + lord]
+            if fwd >= 0:
+                pready = int(spr[fwd])
+                if base >= pready or spid.get(fwd) == pid:
+                    sv = int(srd[fwd])
+                    comp = (sv if sv > base else base) + 1
+                else:
+                    lwc += 1
+                    comp = pready + 2
+            else:
+                comp = base + llat[l0 + lord]
+        elif kind == KIND_STORE:
+            comp = base + 1
+            ordn = s0 + stord
+            srd[ordn] = comp
+            spr[ordn] = res
+            spid[ordn] = pid
+        else:
+            comp = base + lat
+        if dest >= 0:
+            rr[dest] = comp
+        rc = comp + 1
+        if rc < lastt:
+            rc = lastt
+        if rc == lastt and cntt >= rwt:
+            rc += 1
+        if rc > lastt:
+            cntt = 1
+        else:
+            cntt += 1
+        lastt = rc
+        wa(rc)
+        seq += 1
+    st.cycle, st.slots, st.bl = cyc, sl, blv
+    st.last, st.cnt, st.seq = lastt, cntt, seq
+    st.lw += lwc
+
+
+def _static_rows(st: _EpState, rows, isbr: bool, oldest: int) -> None:
+    """A predicate-FALSE static block (``_fetch_static_dpred_block_fast``):
+    every row takes a fetch slot, and a BR terminator a branch slot too,
+    but nothing retires or touches the ring.
+
+    ``oldest`` is the window-stall bound for the block's first row.  The
+    sequence number is frozen on the static path and the cycle only
+    grows, so no later row can stall on the window again; and a row
+    without a destination computes nothing that escapes."""
+    cyc, sl, blv, du, wt, hwt = st.cycle, st.slots, st.bl, st.du, st.w, st.hw
+    mbt, dept, rr = st.mb, st.depth, st.rr
+    if cyc < oldest:
+        cyc = oldest
+        sl = hwt if cyc <= du else wt
+        blv = mbt
+    br = len(rows) - 1 if isbr else -1
+    for i, (kind, _lat, lat1, dest, srcs, _lo, _so) in enumerate(rows):
+        if sl <= 0 or (i == br and blv <= 0):
+            cyc += 1
+            sl = hwt if cyc <= du else wt
+            blv = mbt
+        if i == br:
+            blv -= 1
+        sl -= 1
+        if dest >= 0:
+            base = cyc + dept
+            for s_ in srcs:
+                rdy = rr[s_]
+                if rdy > base:
+                    base = rdy
+            rr[dest] = base + (2 if kind == KIND_LOAD else lat1)
+    st.cycle, st.slots, st.bl = cyc, sl, blv
+
+
 def _ep_finish(G, ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
                ghr_out, cont):
     """Episode tail: scatter the lane's state back to the group, flush
@@ -83,22 +191,7 @@ def _ep_finish(G, ci, st, cur, b, pred, actual, snap, ecase, xu, nsel,
     # The episode's ring writes sit at consecutive sequence numbers;
     # flush just that circular span of the write log (a full 513-slot
     # row costs ~10us per episode, the typical span a fraction of that).
-    wr = st.wr
-    nw = len(wr)
-    rob = st.rob
-    ring = st.ring
-    if nw >= rob:
-        b0 = st.seq0 + nw - rob
-        for off in range(rob):
-            ring[(b0 + off) % rob] = wr[nw - rob + off]
-    elif nw:
-        a0 = st.seq0 % rob
-        end = a0 + nw
-        if end <= rob:
-            ring[a0:end] = wr
-        else:
-            ring[a0:rob] = wr[: rob - a0]
-            ring[: end - rob] = wr[rob - a0:]
+    _flush_ring(st.ring, st.wr, st.seq0, st.rob)
     G.last[ci] = st.last
     G.cnt[ci] = st.cnt
     G.EC[ci, ecase] += 1
@@ -356,7 +449,7 @@ class EpisodeGang:
         steps = sk.steps
         cum = sk.cum
         ghr_after = sk.ghr_after
-        epfns = G._epfns
+        rows = G.pROWS
         lfwd = G.pLFWD
         llat = G.pLLAT
         ep_adv = _ep_adv
@@ -383,13 +476,8 @@ class EpisodeGang:
                 (_, b, nr, _x, l0, s0, nbody, brsrcs, brlat, wrow,
                  widx, jidx, jnew, prd, ismisp, site, newsite) = step
                 if nbody:
-                    fn = epfns.get(b)
-                    if fn is None:
-                        fn = epfns[b] = _compile_row_loop(
-                            G.pROWS[b], nbody, "ep"
-                        )
-                    fn(st, l0, s0, res, pid, srd, spr, spidd,
-                       lfwd, llat)
+                    _ep_rows(st, rows[b], nbody, l0, s0, res, pid, srd,
+                             spr, spidd, lfwd, llat)
                     st.fc += nbody
                     st.ex += nbody
                 # Nested branch: fetch-slot + window check, sources,
@@ -448,13 +536,8 @@ class EpisodeGang:
                 b = step[1]
                 nr = step[2]
                 if nr:
-                    fn = epfns.get(b)
-                    if fn is None:
-                        fn = epfns[b] = _compile_row_loop(
-                            G.pROWS[b], nr, "ep"
-                        )
-                    fn(st, step[4], step[5], res, pid, srd, spr,
-                       spidd, lfwd, llat)
+                    _ep_rows(st, rows[b], nr, step[4], step[5], res, pid,
+                             srd, spr, spidd, lfwd, llat)
                     st.fc += nr
                     st.ex += nr
                 if kind == 1:  # RET
@@ -477,7 +560,8 @@ class EpisodeGang:
         steps = sk.steps
         cum = sk.cum
         ghr_after = sk.ghr_after
-        stfns = G._stfns
+        rows = G.pROWS
+        term = G.pTERM
         ep_adv = _ep_adv
         k = 0
         while True:
@@ -495,11 +579,6 @@ class EpisodeGang:
                 return _P_LIMIT
             cur, nr, bump = steps[k]
             if nr:
-                fn = stfns.get(cur)
-                if fn is None:
-                    fn = stfns[cur] = _compile_static_block(
-                        G.pROWS[cur], G.pTERM[cur] == TERM_BR
-                    )
                 seq = st.seq
                 if seq >= st.rob:
                     j = seq - st.rob
@@ -510,7 +589,7 @@ class EpisodeGang:
                     )
                 else:
                     oldest = 0
-                fn(st, oldest)
+                _static_rows(st, rows[cur], term[cur] == TERM_BR, oldest)
                 st.cd += nr
                 st.ex += nr
                 st.pf += nr

@@ -11,6 +11,7 @@ corpus replays against the batch engine too
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.cfg.builder import CFGBuilder
 from repro.core.processors import simulate
 from repro.harness.experiment import BenchmarkContext, run_suite
+from repro.isa.encoding import DivergeHint, HintTable
+from repro.isa.instructions import Condition
 from repro.program.interpreter import Interpreter
 from repro.program.memory import Memory
 from repro.program.program import Program
@@ -291,6 +294,67 @@ def test_btb_set_overflow_falls_back(extra_sites):
     assert dataclasses.asdict(got) == dataclasses.asdict(ref)
 
 
+def _same_path_forwarding_program(iterations: int = 60):
+    """A diverge branch on a cold load (a fresh cache line every
+    iteration, so it resolves late), each hammock side storing to its
+    own word and loading it straight back.  The load issues before the
+    predicate resolves and forwards from the store on its own path."""
+    stride, data, slot = 64, 20000, 9000
+    rng = random.Random(7)
+    memory = Memory()
+    for i in range(iterations):
+        memory.store(data + i * stride, rng.randrange(2))
+    builder = CFGBuilder("main")
+    builder.block("init").movi(1, 0).movi(5, data)
+    builder.block("head").br(Condition.GE, 1, imm=iterations, taken="exit")
+    builder.block("body").load(4, 5, offset=0).br(
+        Condition.GE, 4, imm=1, taken="tk"
+    )
+    for side, reg, offset in (("nt", 20, slot), ("tk", 24, slot + 8)):
+        block = builder.block(side)
+        block.addi(reg, 1, 10)
+        block.store(reg, 0, offset=offset)
+        block.load(reg + 1, 0, offset=offset)
+        block.add(reg + 2, reg + 1, 1)
+        if side == "nt":
+            block.jmp("merge")
+    builder.block("merge").addi(1, 1, 1).addi(5, 5, stride).jmp("head")
+    builder.block("exit").halt()
+    program = Program("same-path-forward")
+    program.add_function(builder.build())
+    program.seal()
+    trace = Interpreter(program, memory=memory).run()
+    cfg = program.entry_function
+    hints = HintTable()
+    hints.add(
+        cfg.block("body").instructions[-1].pc,
+        DivergeHint((cfg.block("merge").first_pc,)),
+    )
+    return program, trace, hints
+
+
+def test_same_path_store_forwarding_bit_identical():
+    """A load forwards from an unresolved predicated store without
+    waiting when the store sits on its own path.  Two sizings share the
+    trace, so their episodes gang."""
+    program, trace, hints = _same_path_forwarding_program()
+    grid = [MachineConfig.dmp(), MachineConfig.dmp(fetch_width=8)]
+    cells = [
+        BatchCell(program, trace, config.replace(engine="batch"),
+                  hints=hints)
+        for config in grid
+    ]
+    results = run_batch(cells)
+    for config, got in zip(grid, results):
+        ref = simulate(
+            program, trace, config.replace(engine="reference"), hints=hints
+        )
+        assert ref.dpred_entries > 0
+        assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
+            config.describe()
+        )
+
+
 def test_run_suite_batch_executor_matches_serial():
     """The ``"batch"`` suite executor returns the same table as the
     serial fast-engine executor (memo/disk caches bypassed by fresh
@@ -320,3 +384,34 @@ def test_run_suite_batch_executor_matches_serial():
             assert dataclasses.asdict(
                 batch.stats(name, label)
             ) == dataclasses.asdict(serial.stats(name, label))
+
+
+def test_batch_package_runs_no_generated_code():
+    """The batch engine's row loops are plain Python: no module under
+    ``repro.uarch.batch`` calls ``exec``, ``eval`` or ``compile``.
+    Compiling a kernel per block cost every fresh process more than the
+    kernels saved (docs/performance.md)."""
+    import ast
+    import pathlib
+
+    import repro.uarch.batch as package
+
+    banned = {"exec", "eval", "compile"}
+    found = []
+    for path in sorted(pathlib.Path(package.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and isinstance(
+                func.value, ast.Name
+            ) and func.value.id == "builtins":
+                name = func.attr
+            else:
+                continue
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno} {name}()")
+    assert not found, found

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ReproError
 from repro.harness import figures
 from repro.harness.cache import ArtifactCache
+from repro.harness.fingerprint import config_fingerprint
 from repro.harness.experiment import (
     BenchmarkContext,
     SuiteResult,
@@ -267,6 +268,50 @@ class TestHarnessBugfixes:
             iterations=SMALL, contexts=contexts,
         )
         assert result.stats("gzip", "base").cycles > 0
+
+
+class TestMemoKeysComputedOnce:
+    """A memo key is a fingerprint of the configuration alone, so the
+    batch executor computes one per configuration per suite run and the
+    serial path one per cell."""
+
+    @pytest.fixture
+    def fingerprinted(self, monkeypatch):
+        from repro.harness import experiment
+
+        calls = []
+        original = experiment.config_fingerprint
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(experiment, "config_fingerprint", counting)
+        return calls
+
+    def test_batch_executor_once_per_config(self, serial_cold, fingerprinted):
+        configs = small_configs()
+        contexts = {}
+        for run in (1, 2):
+            result = run_suite(
+                configs, BENCHMARKS, iterations=SMALL, contexts=contexts,
+                executor="batch",
+            )
+            assert result == serial_cold
+            assert len(fingerprinted) == run * len(configs)
+        # The second run was served from the memo, under the same keys.
+        assert result.timings.sim_memo_hits == len(BENCHMARKS) * len(configs)
+        keys = {
+            config_fingerprint(config.replace(engine="batch"))
+            for config in configs.values()
+        }
+        for context in contexts.values():
+            assert set(context._sim_cache) == keys
+
+    def test_serial_simulate_once_per_cell(self, serial_cold, fingerprinted):
+        result = run_suite(small_configs(), BENCHMARKS, iterations=SMALL)
+        assert result == serial_cold
+        assert len(fingerprinted) == len(BENCHMARKS) * len(small_configs())
 
 
 class TestSuiteResultEquality:

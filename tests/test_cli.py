@@ -299,3 +299,51 @@ class TestBenchFlags:
         args = build_parser().parse_args(["fuzz", "--gang"])
         assert args.gang is True
         assert build_parser().parse_args(["fuzz"]).gang is False
+
+
+class TestReproducePaperExample:
+    """``examples/reproduce_paper.py`` hands ``--jobs``, ``--engine`` and
+    ``--cache-dir`` to every driver, as ``repro figure`` does."""
+
+    def test_flags_reach_every_driver(self, monkeypatch, tmp_path, capsys):
+        import inspect
+        import pathlib
+        import runpy
+
+        from repro.harness import figures
+        from repro.harness.cache import ArtifactCache
+
+        calls = {}
+
+        class _Result:
+            def format(self):
+                return "exhibit"
+
+        for name, real in list(figures.ALL_DRIVERS.items()):
+            def fake(*args, _name=name, _real=real, **kwargs):
+                inspect.signature(_real).bind(*args, **kwargs)
+                calls[_name] = kwargs
+                return _Result()
+
+            monkeypatch.setitem(figures.ALL_DRIVERS, name, fake)
+        script = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "examples" / "reproduce_paper.py"
+        )
+        monkeypatch.setattr("sys.argv", [
+            str(script), "--iterations", "40", "--jobs", "3",
+            "--engine", "batch", "--cache-dir", str(tmp_path),
+        ])
+        runpy.run_path(str(script), run_name="__main__")
+        assert set(calls) == set(figures.ALL_DRIVERS)
+        for name, kwargs in calls.items():
+            if name in ("table1", "table2"):
+                assert kwargs == {}
+                continue
+            assert kwargs["iterations"] == 40, name
+            assert kwargs["jobs"] == 3, name
+            assert kwargs["engine"] == "batch", name
+            assert isinstance(kwargs["cache"], ArtifactCache), name
+            assert str(kwargs["cache"].root) == str(tmp_path), name
+        out = capsys.readouterr().out
+        assert "[fig13:" in out
