@@ -409,6 +409,9 @@ def cmd_bench(args) -> int:
                   f"{lanes} lanes ({share:.0f}% of episode lanes, "
                   f"max gang {gangs.get('max_gang', 0)}); "
                   f"{singles} singletons ran as gangs of one")
+        if gangs.get("pred_states"):
+            print(f"predictor-state rows: {gangs['pred_states']} created, "
+                  f"at most {gangs.get('max_pred_states', 0)} live at once")
     output = args.output
     if not output:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")

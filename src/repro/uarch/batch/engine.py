@@ -6,10 +6,13 @@ struct-of-arrays.  Each driver iteration advances every live cell by
 exactly one trace record: the per-record arithmetic of
 :class:`repro.uarch.timing.TimingSimulator` (fetch slots, reorder-buffer
 stalls, register dependences, load latencies, retirement) runs once per
-*row position* across all cells instead of once per row per cell.  All
-per-cell architectural state (fetch cycle, fetch slots, register-ready
-times, retirement ring, perceptron weights, JRS counters, BTB seen-bits,
-store-ready times) lives in arrays indexed by cell.
+*row position* across all cells instead of once per row per cell.  The
+per-cell timing state (fetch cycle, fetch slots, register-ready times,
+retirement ring, store-ready times) lives in arrays indexed by cell.
+Predictor state (perceptron weights, JRS counters, BTB seen-bits) is
+bit-equal across the cells of one trace until an episode outcome splits
+them, so it lives in rows indexed by (trace, epoch) that the cells
+point at (the epoch comment in :class:`_Group`).
 
 Bit-identity contract
 ---------------------
@@ -211,7 +214,7 @@ class _EpState:
     they live on the gang; the counters here are per-episode deltas."""
 
     __slots__ = (
-        "ci", "cycle", "slots", "bl", "du", "w", "hw", "mb", "depth",
+        "cycle", "slots", "bl", "du", "w", "hw", "mb", "depth",
         "rob", "rw", "ghr", "rr", "ring", "wr", "last", "cnt",
         "seq", "seq0",
         "fc", "ex", "rb", "mp", "fl", "cd", "pf", "lw",
@@ -219,17 +222,18 @@ class _EpState:
 
 
 class _WalkPath:
-    """Structural wrong-path walk shared by every cell on one trace.
+    """Structural wrong-path walk shared by every cell on one
+    predictor-state row.
 
     The block sequence a walk visits — and the predictions steering it —
     depends only on the start block, the history register, the
     perceptron weights and the reconvergence targets, never on per-cell
-    cycle accounting.  All cells of one trace hold bit-identical
-    predictor state at every step (training is outcome-driven), so on a
-    config-grid sweep the structural walk is computed once and each cell
-    replays only its own slot/cycle arithmetic over the cached blocks.
-    Blocks are appended lazily: a cell with more cycle headroom extends
-    the shared path where the previous cell's replay stopped."""
+    cycle accounting.  The cells of one (trace, epoch) share one weights
+    row, so on a config-grid sweep the structural walk is computed once
+    per row and each cell replays only its own slot/cycle arithmetic
+    over the cached blocks.  Blocks are appended lazily: a cell with
+    more cycle headroom extends the shared path where the previous
+    cell's replay stopped."""
 
     __slots__ = (
         "blocks", "cur", "ghr", "node", "local", "reached", "guard",
@@ -365,7 +369,9 @@ def run_batch(
     ``gang_stats`` (likewise accumulated) receives the ganged-episode
     accounting: ``gangs``, ``ganged_lanes`` (lanes in gangs of two or
     more), ``singleton_lanes`` (lanes that ran as gangs of one),
-    ``max_gang``."""
+    ``max_gang``, and the predictor-state rows: ``pred_states`` (rows
+    created, one per (trace, epoch)) and ``max_pred_states`` (peak live
+    rows)."""
     results: List[Optional[SimStats]] = [None] * len(cells)
     vec: List[int] = []
     fb_time = 0.0
@@ -406,8 +412,10 @@ def run_batch(
                 ("ganged_lanes", group.gang_lanes),
                 ("singleton_lanes", group.gang_singletons),
                 ("max_gang", group.gang_max),
+                ("pred_states", group.pred_states),
+                ("max_pred_states", group.max_pred_states),
             ):
-                if key == "max_gang":
+                if key.startswith("max_"):
                     gang_stats[key] = max(gang_stats.get(key, 0), val)
                 else:
                     gang_stats[key] = gang_stats.get(key, 0) + val
@@ -650,11 +658,8 @@ class _Group:
         self.SPREADYP = np.zeros((n, maxstores + 1), i8)
         self.spid: List[Dict[int, int]] = [{} for _ in range(n)]
         self.pcnt = [0] * n
-        self.W = np.zeros((n, _NPERC, _HBITS + 1), np.int16)
-        self.JRS = np.zeros((n, _JTAB), np.int16)
         nsites = max(pa.nsites for pa in p_list)
         self.sitejunk = nsites
-        self.BTBSEEN = np.zeros((n, nsites + 1), bool)
         # stats counters
         self.FC = np.zeros(n, i8)
         self.EX = np.zeros(n, i8)
@@ -738,15 +743,33 @@ class _Group:
         self.ptgid = self.roffs.tolist()
         self._walk_cache: Dict[tuple, _WalkPath] = {}
         # Weight-divergence epochs.  Cells over one trace keep identical
-        # predictor state (weights, GHR, JRS) until a dpred episode's
-        # *outcome* first differs between them — training inputs are
-        # trace-determined, and an episode's training is pinned by its
-        # inputs plus (exit case, continuation, outgoing GHR).  Each
-        # episode therefore chains an interned signature into the cell's
-        # epoch; equal epochs mean bit-equal predictor state, letting
-        # predicated cells share structural walks just like plain ones.
+        # predictor state (weights, GHR, JRS, BTB seen-bits) until a
+        # dpred episode's *outcome* first differs between them —
+        # training inputs are trace-determined, and an episode's
+        # training is pinned by its inputs plus (exit case,
+        # continuation, outgoing GHR).  Each episode therefore chains an
+        # interned signature into the cell's epoch; equal (trace, epoch)
+        # means bit-equal predictor state.
         self.pepoch = [0] * n
         self._episigs: Dict[tuple, int] = {}
+        # So W, JRS and BTBSEEN hold one predictor-state row per live
+        # (trace, epoch), and each cell holds its row index (``srow``
+        # for the vector gathers, ``psrow`` for the scalar code).  Every
+        # cell of a trace starts on that trace's row; _enter_epoch moves
+        # a cell on and frees a row no cell points at.  A new row is
+        # built while its first cell still holds the parent row, so
+        # n + 1 rows always suffice, and rows never used stay untouched
+        # zero pages.
+        first = {tg: r for r, tg in enumerate(sorted(set(self.ptgid)))}
+        self.psrow = [first[tg] for tg in self.ptgid]
+        self.srow = np.array(self.psrow, i8)
+        self._srowof = {(tg, 0): r for tg, r in first.items()}
+        self._srefs = np.bincount(self.psrow, minlength=n + 1).tolist()
+        self._sfree = list(range(n, len(first) - 1, -1))
+        self.pred_states = self.max_pred_states = len(first)
+        self.W = np.zeros((n + 1, _NPERC, _HBITS + 1), np.int16)
+        self.JRS = np.zeros((n + 1, _JTAB), np.int16)
+        self.BTBSEEN = np.zeros((n + 1, nsites + 1), bool)
         # Ganged-episode accounting (see repro.uarch.batch.gang).
         self.gang_count = 0
         self.gang_lanes = 0
@@ -793,7 +816,6 @@ class _Group:
                 setattr(self, name, getattr(self, name).astype(np.int32))
 
         # -- dynamic-predication static tables (dmp/dhp cells only)
-        self.pispred = self.ispred.tolist()
         self.HASH = np.zeros((n, max(nblk, 1)), bool)
         self.cfms: List[Dict[int, tuple]] = [{} for _ in range(n)]
         if self.anydp:
@@ -812,8 +834,9 @@ class _Group:
         rationale above: episodes are scalar tails, and list indexing
         beats numpy scalar extraction several-fold there."""
         pBRPC = self.BRPC.tolist()
+        ispred = self.ispred.tolist()
         for ci, cell in enumerate(cells):
-            if not self.pispred[ci] or cell.hints is None:
+            if not ispred[ci] or cell.hints is None:
                 continue
             config = cfg[ci]
             b0 = int(self.boffs[ci])
@@ -1157,11 +1180,12 @@ class _Group:
         isjc = (term == TERM_JMP) | (term == TERM_CALL)
         nadv = np.zeros(vc.size, self.width.dtype)
         if isjc.any():
+            sr = self.srow[vc]
             sitecol = np.where(isjc, self.SITE[b], self.sitejunk)
-            seen = self.BTBSEEN[vc, sitecol]
+            seen = self.BTBSEEN[sr, sitecol]
             # Fetch stops at the transfer, plus a bubble on a BTB miss.
             nadv = np.where(isjc, 1 + ~seen, 0)
-            self.BTBSEEN[vc, sitecol] = True
+            self.BTBSEEN[sr, sitecol] = True
         isrt = term == TERM_RET
         if isrt.any():
             # RAS underflow: advance(), then advance(cycle + depth) —
@@ -1183,20 +1207,51 @@ class _Group:
         self.cursor[vc] = nxt
         self.state[vc] = np.where(nxt >= self.rends[vc], _DONE, _TRACE)
 
-    def _predict(self, vc, idx, ghr):
-        """Vector perceptron dot product; returns (output, taken)."""
-        rows = self.W[vc, idx].astype(np.int64)
+    def _enter_epoch(self, ci: int, epoch: int) -> Tuple[int, bool]:
+        """Point cell ``ci`` at the predictor-state row of its trace's
+        ``epoch``.  Returns ``(row, new)``: the first cell to reach an
+        epoch takes a free row holding a copy of its previous one, which
+        the caller brings up to date (later cells just point at it).  A
+        row no cell points at any more is freed at once."""
+        old = self.psrow[ci]
+        tg = self.ptgid[ci]
+        row = self._srowof.get((tg, epoch))
+        new = row is None
+        if new:
+            row = self._srowof[(tg, epoch)] = self._sfree.pop()
+            self.W[row] = self.W[old]
+            self.JRS[row] = self.JRS[old]
+            self.BTBSEEN[row] = self.BTBSEEN[old]
+            self.pred_states += 1
+        self._srefs[row] += 1
+        self._srefs[old] -= 1
+        if not self._srefs[old]:
+            del self._srowof[(tg, self.pepoch[ci])]
+            self._sfree.append(old)
+        self.psrow[ci] = row
+        self.srow[ci] = row
+        self.pepoch[ci] = epoch
+        if len(self._srowof) > self.max_pred_states:
+            self.max_pred_states = len(self._srowof)
+        return row, new
+
+    def _predict(self, sr, idx, ghr):
+        """Vector perceptron dot product over predictor-state rows
+        ``sr``; returns (output, taken)."""
+        rows = self.W[sr, idx].astype(np.int64)
         bits = (ghr[:, None] >> np.arange(_HBITS)[None, :]) & 1
         x = 2 * bits - 1
         out = rows[:, 0] + (rows[:, 1:] * x).sum(axis=1)
         return out, out >= 0
 
-    def _train(self, vc, idx, snap, out, pred, actual):
-        """Vector perceptron train + clip (misp or weak output only)."""
+    def _train(self, sr, idx, snap, out, pred, actual):
+        """Vector perceptron train + clip (misp or weak output only).
+        Cells sharing a row train it identically, so their duplicate
+        scatters write equal values."""
         need = (pred != actual) | (np.abs(out) <= _THETA)
         if not need.any():
             return
-        tc, ti = vc[need], idx[need]
+        tc, ti = sr[need], idx[need]
         t = np.where(actual[need], 1, -1).astype(np.int16)
         rows = self.W[tc, ti]
         rows[:, 0] = np.clip(
@@ -1231,7 +1286,8 @@ class _Group:
 
         snap = self.ghr[vc]
         idx = self.PCT[b]
-        out, pred = self._predict(vc, idx, snap)
+        sr = self.srow[vc]
+        out, pred = self._predict(sr, idx, snap)
 
         ready = self.RR[vc, self.BRSRC[b, 0]]
         for j in range(1, self.K):
@@ -1252,12 +1308,12 @@ class _Group:
 
         ghr_new = ((snap << 1) | pred) & _M31
         jidx = (self.JPC[b] ^ (snap & _JHMASK)) & (_JTAB - 1)
-        conf = self.JRS[vc, jidx] >= self.thresh[vc]
+        conf = self.JRS[sr, jidx] >= self.thresh[vc]
         actual = self.RTAKEN[cur].astype(bool)
         misp = pred != actual
-        self._train(vc, idx, snap, out, pred, actual)
-        jv = self.JRS[vc, jidx]
-        self.JRS[vc, jidx] = np.where(
+        self._train(sr, idx, snap, out, pred, actual)
+        jv = self.JRS[sr, jidx]
+        self.JRS[sr, jidx] = np.where(
             misp, 0, np.minimum(jv + 1, _JMAX)
         ).astype(np.int16)
 
@@ -1266,6 +1322,10 @@ class _Group:
             & (np.abs(out) <= _THETA // 4)
         )
         site = self.SITE[b]
+        # Every cell reads its row's seen bit from before this step: a
+        # peer sharing the row may set it below, ahead of this cell's
+        # fork epilogue or episode.
+        seen = self.BTBSEEN[sr, site]
         if self.anydp:
             # Dpred entry: a hinted (non-loop) diverge branch with a
             # low-confidence prediction.  The scalar flow reads the JRS
@@ -1283,9 +1343,8 @@ class _Group:
             nadv = np.zeros(oc.size, self.width.dtype)
             if taken.any():
                 sitecol = np.where(taken, site[ok], self.sitejunk)
-                seen = self.BTBSEEN[oc, sitecol]
-                nadv = np.where(taken, 1 + ~seen, 0)
-                self.BTBSEEN[oc, sitecol] = True
+                nadv = np.where(taken, 1 + ~seen[ok], 0)
+                self.BTBSEEN[sr[ok], sitecol] = True
             c2 = fetchc[ok] + nadv
             moved = nadv > 0
             self.cycle[oc] = c2
@@ -1314,7 +1373,8 @@ class _Group:
                     bbr[sel].tolist(), res[sel].tolist(),
                     snap[sel].tolist(), pred[sel].tolist(),
                     actual[sel].tolist(), fork[sel].tolist(),
-                    site[sel].tolist(), self.dual[ic].tolist(),
+                    site[sel].tolist(), seen[sel].tolist(),
+                    self.dual[ic].tolist(),
                 )
             ]
             c2, s2, b2, g2, d2, mp, fl, fk, cd, cik = zip(*outs)
@@ -1346,7 +1406,7 @@ class _Group:
                     bbr[sel].tolist(), res[sel].tolist(),
                     snap[sel].tolist(), pred[sel].tolist(),
                     actual[sel].tolist(), d[sel].tolist(),
-                    (seqb[sel] + 1).tolist(),
+                    (seqb[sel] + 1).tolist(), seen[sel].tolist(),
                 )
             )
             rg = self._run_gangs
@@ -1373,7 +1433,7 @@ class _Group:
     # ------------------------------------------------------------------
 
     def _branch_epilogue(self, ci, cur, b, fetchc, s, bl, res, snap,
-                         pred, actual, fork, site, dual):
+                         pred, actual, fork, site, seen, dual):
         """Misprediction flush / dual-path fork for one cell.
 
         Pure in the fetch state: takes and returns plain ints so the
@@ -1381,7 +1441,8 @@ class _Group:
         one shot instead of a dozen single-element numpy writes per
         walker.  Returns ``(cycle, slots, branches, ghr, dual, mp, fl,
         forks, cd, ci)`` — the last five are counter deltas.  Only the
-        seen-bit BTB is mutated in place."""
+        seen-bit BTB is mutated in place; ``seen`` is the site's bit
+        from before this resolution step."""
         ghr_new = ((snap << 1) | pred) & _M31
         reconv = self.pRECONV[b]
         node = self.pRNODE[cur]
@@ -1406,8 +1467,8 @@ class _Group:
                 if pred:
                     # _taken_redirect (seen-bit BTB + stop-at-taken).
                     c2 = fetchc + 1
-                    if not self.BTBSEEN[ci, site]:
-                        self.BTBSEEN[ci, site] = True
+                    if not seen:
+                        self.BTBSEEN[self.psrow[ci], site] = True
                         c2 += 1
                     s2 = self.phalfw[ci] if c2 <= dual else self.pwidth[ci]
                     b2 = self.pmaxb[ci]
@@ -1505,19 +1566,12 @@ class _Group:
         touch the predictor."""
         if c >= until:
             return c, 0, 0
-        # Same-trace weight lockstep — the premise of sharing — holds
-        # for predicated cells only until their episode outcomes first
-        # diverge; the epoch chain (see __init__) tracks exactly that,
-        # so dmp/dhp cells share walks with their epoch peers.
-        if self.pispred[ci]:
-            tgid = (self.ptgid[ci], self.pepoch[ci])
-        else:
-            tgid = self.ptgid[ci]
-        key = (tgid, start, ghr, reconv, node, upcoming)
+        row = self.psrow[ci]
+        key = (row, start, ghr, reconv, node, upcoming)
         path = self._walk_cache.get(key)
         if path is None:
             path = self._walk_cache[key] = _WalkPath(
-                start, ghr, node, reconv, upcoming, self.W[ci]
+                start, ghr, node, reconv, upcoming, self.W[row]
             )
         hw = self.phalfw[ci]
         w = self.pwidth[ci]

@@ -305,6 +305,7 @@ class TestRunBench:
         assert cell["profile"]["step_loop"] > 0
         assert set(cell["gang_stats"]) == {
             "gangs", "ganged_lanes", "singleton_lanes", "max_gang",
+            "pred_states", "max_pred_states",
         }
         # Batch cells carry no warm/traced keys; the summary treats the
         # missing trace marker as non-perturbing rather than crashing.
