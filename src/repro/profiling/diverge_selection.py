@@ -13,8 +13,9 @@ The paper's heuristics, verbatim:
 
 We additionally compute a per-branch early-exit threshold for the
 Section 2.7.2 enhancement (the compiler-selected variant the paper says
-works slightly better than a static threshold): twice the mean dynamic
-distance to the chosen CFM point.
+works slightly better than a static threshold): 1.5 times the mean
+dynamic distance to the primary CFM point, rounded down, plus 8
+instructions.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class SelectionThresholds:
     max_cfm_distance: int = 120
     #: How many CFM points the enhanced machine may carry per branch.
     max_cfm_points: int = 4
-    #: Early-exit threshold = this factor times the mean CFM distance.
+    #: Early-exit threshold = int(this factor times the primary CFM
+    #: point's mean distance) + 8 instructions.
     early_exit_distance_factor: float = 1.5
 
 
@@ -165,7 +167,7 @@ def build_hint_table(
             selection.pc,
             DivergeHint(
                 tuple(candidate.pc for candidate in points),
-                early_exit_threshold=max(early_exit, 8),
+                early_exit_threshold=early_exit,
             ),
         )
     return table
