@@ -18,7 +18,7 @@ See docs/performance.md for the design and the measured speedups.
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised indirectly by the fallback test
+try:  # pragma: no cover - the no-numpy branch runs in a subprocess test
     import numpy  # noqa: F401
 
     _HAVE_NUMPY = True
