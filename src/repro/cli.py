@@ -343,6 +343,16 @@ def cmd_bench(args) -> int:
 
     from repro.harness import bench
 
+    # Resolve `latest` before this run writes its own BENCH_*.json,
+    # which would otherwise be the newest report in the directory.
+    baseline_path = args.baseline
+    if baseline_path == "latest":
+        try:
+            baseline_path = bench.find_latest_baseline()
+        except FileNotFoundError as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            return 1
+        print(f"baseline: {baseline_path}")
     if args.smoke:
         benchmarks = list(bench.SMOKE_BENCHMARKS)
         configs = list(bench.SMOKE_CONFIGS)
@@ -422,15 +432,7 @@ def cmd_bench(args) -> int:
         not summary["all_identical"]
         or not summary["all_traced_identical"]
     )
-    if args.baseline:
-        baseline_path = args.baseline
-        if baseline_path == "latest":
-            try:
-                baseline_path = bench.find_latest_baseline()
-            except FileNotFoundError as exc:
-                print(f"FAIL: {exc}", file=sys.stderr)
-                return 1
-            print(f"baseline: {baseline_path}")
+    if baseline_path:
         problems = bench.compare(
             report, bench.load_report(baseline_path),
             max_regression=args.max_regression,

@@ -257,8 +257,6 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
     if not batch_supported():
         say(f"{label}: numpy unavailable, batch sweep skipped")
         return None
-    from repro.uarch.batch.arena import clear_arena_caches
-
     if not benchmarks or not seeds or not config_names:
         # An empty sweep has no per-cell share to divide by; report the
         # skip instead of dying on batch_s / len(cells).
@@ -281,10 +279,10 @@ def _run_batch_group(label: str, benchmarks: Sequence[str],
                            if use_hints else None),
                     benchmark=name, warm_words=warm_words,
                 ))
-    # Cold: the batch run pays for its own arenas and block plans.
+    # Cold: the batch run pays for its own block plans (run_batch
+    # builds its program and trace tables on every call anyway).
     for program in programs:
         ProgramAnalysis.reset(program)
-    clear_arena_caches()
     fallback_reasons: Dict[str, int] = {}
     profile: Dict[str, float] = {}
     gang_stats: Dict[str, int] = {}

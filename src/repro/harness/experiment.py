@@ -684,15 +684,6 @@ def _execute_batch(
     per_cell = (time.perf_counter() - t0) / len(cells)
     fell = sum(timings.batch_fallbacks.values()) - fell_before
     timings.batch_vector_cells += len(cells) - fell
-    # Re-enforce the arena memo LRU caps: a long-lived process issuing
-    # many sweeps (notebooks, services, the fuzz harness) must not
-    # accumulate an unbounded arena/horizon memo per program and trace.
-    from repro.uarch.batch import batch_supported
-
-    if batch_supported():
-        from repro.uarch.batch.arena import trim_arena_caches
-
-        trim_arena_caches()
     for (context, label, key), stats in zip(meta, stats_list):
         context.stage_seconds["simulate"] += per_cell
         context.sims_run += 1

@@ -27,7 +27,7 @@ retirement), with `where` masks in place of branches.
 The deliberately *scalar* pieces — the wrong-path walk, the row tail
 (:func:`_tail_rows`) and the dpred episodes of
 :mod:`repro.uarch.batch.gang` — are plain Python loops on ints over the
-per-block row tuples (``pROWS``); nothing here generates code
+plans' own per-block row tuples (``pROWS``); nothing here generates code
 (docs/performance.md, "Why the batch engine runs no generated code").
 A cell that mispredicts (or dual-path forks) walks its wrong path
 synchronously — an exact transcription of ``_walk_wrong_path_fast`` —
@@ -38,31 +38,25 @@ per misprediction), and are cheap integer arithmetic; vectorizing them
 would force every cell to wait one driver iteration per walked *block*,
 which measures far slower than stepping the few walking cells inline.
 
-The static tables come from :mod:`repro.uarch.batch.arena`: per-program
-block decode plus a per-trace replay of everything timing-independent
-(icache stalls, load latencies and forwarding sources, store-buffer
-contents, RAS underflows, the architectural call context).
+The static tables come from :mod:`repro.uarch.batch.arena`, built once
+per ``run_batch`` call: per-program block lists plus a per-trace replay
+of everything timing-independent (icache stalls, load latencies and
+forwarding sources, store-buffer contents, RAS underflows, the
+architectural call context).  :class:`_Group` concatenates those lists
+for the scalar code and builds each numpy table its vector step reads
+from them, once; nothing outlives the call.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.branch.perceptron import PerceptronPredictor
 from repro.confidence import make_estimator
-from repro.uarch.batch.arena import (
-    JREG,
-    NO_UPC,
-    ZREG,
-    ProgramArena,
-    TraceArena,
-    program_arena,
-    trace_arena,
-)
-from repro.uarch.batch.horizon import extended_arena, trace_spans
+from repro.uarch.batch.arena import JREG, ZREG, ProgramArena, TraceArena
 from repro.uarch.plan import (
     KIND_LOAD,
     KIND_STORE,
@@ -280,58 +274,65 @@ class BatchCell:
         self.tracer = tracer
 
 
+def _config_reason(config, tracer) -> str:
+    """Why the vector path cannot run a cell of this configuration, or
+    ``""`` when it can (the program is checked separately)."""
+    from repro.validation.runtime import paranoid_enabled
+
+    if tracer is not None:
+        return "event tracer attached"
+    if config.mode in ("dmp", "dhp"):
+        # Plain dynamic predication vectorizes; each enhancement that
+        # does not is named so the fallback summary can group by it.
+        if config.loop_predication:
+            return "loop predication (loop episodes are scalar-only)"
+        if config.early_exit:
+            return "early exit (alternate-path early exit is scalar-only)"
+        if config.multiple_diverge:
+            return (
+                "multiple diverge branches "
+                "(restart/nested episodes are scalar-only)"
+            )
+        if config.selective_predictor_update:
+            return "selective predictor update (scalar-only)"
+    elif config.mode == "mpp":
+        # The learned hint table changes between lookups as the predictor
+        # trains, which the ganged-episode kernels cannot express.
+        return "mode 'mpp' (learned merge points are scalar-only)"
+    elif config.mode not in ("baseline", "dualpath"):
+        return f"mode {config.mode!r} (wish branches are scalar-only)"
+    if config.oracle_checks or config.watchdog or paranoid_enabled():
+        return "oracle/watchdog instrumentation"
+    if config.predictor_kind != "perceptron" or config.predictor_args:
+        return "non-default direction predictor"
+    if config.confidence_kind != "jrs" or (
+        set(config.confidence_args) - {"threshold"}
+    ):
+        return "non-default confidence estimator"
+    if (config.btb_entries != _DEFAULT.btb_entries
+            or config.ras_depth != _DEFAULT.ras_depth):
+        return "non-default BTB/RAS geometry"
+    if config.store_buffer_size != _DEFAULT.store_buffer_size:
+        return "non-default store buffer"
+    if (config.memory_latency != _DEFAULT.memory_latency
+            or config.prefetch_lines != _DEFAULT.prefetch_lines):
+        return "non-default memory system"
+    return ""
+
+
 def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
     """Whether the vector path can run this cell bit-identically.
 
     Anything outside the envelope is not an error — ``run_batch`` falls
     back to the fast engine per cell — but the reason string feeds the
-    differential tests and ``docs/performance.md``.
+    differential tests and ``docs/performance.md``.  ``run_batch``
+    applies the same check with one program table per distinct program.
     """
-    from repro.validation.runtime import paranoid_enabled
-
-    config = cell.config
-    if cell.tracer is not None:
-        return False, "event tracer attached"
-    if config.mode in ("dmp", "dhp"):
-        # Plain dynamic predication vectorizes; each enhancement that
-        # does not is named so the fallback summary can group by it.
-        if config.loop_predication:
-            return False, "loop predication (loop episodes are scalar-only)"
-        if config.early_exit:
-            return False, "early exit (alternate-path early exit is scalar-only)"
-        if config.multiple_diverge:
-            return False, (
-                "multiple diverge branches "
-                "(restart/nested episodes are scalar-only)"
-            )
-        if config.selective_predictor_update:
-            return False, "selective predictor update (scalar-only)"
-    elif config.mode == "mpp":
-        # The learned hint table changes between lookups as the predictor
-        # trains, which the ganged-episode kernels cannot express.
-        return False, "mode 'mpp' (learned merge points are scalar-only)"
-    elif config.mode not in ("baseline", "dualpath"):
-        return False, f"mode {config.mode!r} (wish branches are scalar-only)"
-    if config.oracle_checks or config.watchdog or paranoid_enabled():
-        return False, "oracle/watchdog instrumentation"
-    if config.predictor_kind != "perceptron" or config.predictor_args:
-        return False, "non-default direction predictor"
-    if config.confidence_kind != "jrs" or (
-        set(config.confidence_args) - {"threshold"}
-    ):
-        return False, "non-default confidence estimator"
-    if (config.btb_entries != _DEFAULT.btb_entries
-            or config.ras_depth != _DEFAULT.ras_depth):
-        return False, "non-default BTB/RAS geometry"
-    if config.store_buffer_size != _DEFAULT.store_buffer_size:
-        return False, "non-default store buffer"
-    if (config.memory_latency != _DEFAULT.memory_latency
-            or config.prefetch_lines != _DEFAULT.prefetch_lines):
-        return False, "non-default memory system"
-    parena = program_arena(cell.program)
-    if not parena.vector_ok:
-        return False, parena.reason
-    return True, ""
+    reason = (
+        _config_reason(cell.config, cell.tracer)
+        or ProgramArena(cell.program).reason
+    )
+    return not reason, reason
 
 
 def _fallback(cell: BatchCell) -> SimStats:
@@ -360,9 +361,15 @@ def run_batch(
     ``cell_supported`` reason strings for the cells that fell off the
     vector path (the ``run_suite``/CLI fallback summary).
 
+    The static tables are built per call: one program table per
+    distinct program, shared by the envelope check and the group, and
+    one trace table per distinct (program, trace, warm-up words).
+    Nothing survives the call.
+
     ``profile`` (a dict, accumulated into) receives wall-time phase
-    attribution: ``arena_build`` (group construction: arenas, horizon
-    spans, table concatenation), ``step_loop`` (the vector driver),
+    attribution: ``arena_build`` (the envelope check and group
+    construction: program and trace tables, horizon spans, table
+    concatenation), ``step_loop`` (the vector driver),
     ``episode_tails`` (dpred episodes, every one a gang replay),
     ``scalar_walks`` (mispredict/fork wrong-path walks) and
     ``scalar_fallback`` (cells simulated on the fast engine).
@@ -373,24 +380,34 @@ def run_batch(
     created, one per (trace, epoch)) and ``max_pred_states`` (peak live
     rows)."""
     results: List[Optional[SimStats]] = [None] * len(cells)
+    t0 = perf_counter()
+    arenas: Dict[int, ProgramArena] = {}
+    reasons = []
+    for cell in cells:
+        reason = _config_reason(cell.config, cell.tracer)
+        if not reason:
+            pa = arenas.get(id(cell.program))
+            if pa is None:
+                pa = arenas[id(cell.program)] = ProgramArena(cell.program)
+            reason = pa.reason
+        reasons.append(reason)
+    build = perf_counter() - t0
     vec: List[int] = []
     fb_time = 0.0
-    for i, cell in enumerate(cells):
-        ok, reason = cell_supported(cell)
-        if ok:
+    for i, (cell, reason) in enumerate(zip(cells, reasons)):
+        if not reason:
             vec.append(i)
-        else:
-            if fallback_reasons is not None:
-                fallback_reasons[reason] = (
-                    fallback_reasons.get(reason, 0) + 1
-                )
-            t0 = perf_counter()
-            results[i] = _fallback(cell)
-            fb_time += perf_counter() - t0
+            continue
+        if fallback_reasons is not None:
+            fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
+        t0 = perf_counter()
+        results[i] = _fallback(cell)
+        fb_time += perf_counter() - t0
     if vec:
         t0 = perf_counter()
-        group = _Group([cells[i] for i in vec])
-        build = perf_counter() - t0
+        group = _Group([cells[i] for i in vec], arenas)
+        del arenas  # free the program tables: the group keeps none
+        build += perf_counter() - t0
         t0 = perf_counter()
         out = group.run()
         run_time = perf_counter() - t0
@@ -426,135 +443,197 @@ def run_batch(
     return results  # type: ignore[return-value]
 
 
+def _cat(tables, name: str, offsets=None) -> List[int]:
+    """The ``name`` lists of ``tables`` concatenated.  With ``offsets``,
+    each table's entries that are ids (``>= 0``) move by its offset into
+    the group's id space, and ``-1`` stays ``-1``."""
+    if offsets is None:
+        return [v for t in tables for v in getattr(t, name)]
+    return [
+        v + off if v >= 0 else -1
+        for t, off in zip(tables, offsets) for v in getattr(t, name)
+    ]
+
+
 class _Group:
     """All vector-eligible cells, advanced in lockstep."""
 
-    def __init__(self, cells: List[BatchCell]) -> None:
+    def __init__(self, cells: List[BatchCell],
+                 arenas: Dict[int, ProgramArena]) -> None:
         self.cells = cells
         n = len(cells)
         self.n = n
         i8 = np.int64
 
-        # -- shared static tables (concatenated across programs/traces)
-        # Pass 1: raw arenas + horizon span tables.  trace_spans interns
-        # each trace's quiet-run macro blocks into the program's horizon
-        # index, so the extended block space is known before group
-        # offsets are assigned.
-        raw_seen: Dict[int, ProgramArena] = {}
-        raw_list: List[ProgramArena] = []
-        cell_pa: List[ProgramArena] = []
-        cell_ta: List[TraceArena] = []
-        t_spans: Dict[int, Any] = {}
+        # -- shared static tables, concatenated across programs/traces.
+        # Each trace table's spans append its macro blocks to the
+        # program's lists, so every trace is built before block offsets
+        # are assigned.  Programs and traces keep first-use order.
+        programs: Dict[int, ProgramArena] = {}
+        traces: Dict[tuple, TraceArena] = {}
+        tprog: List[int] = []  # program key of each trace table
+        cell_trace: List[tuple] = []
         for cell in cells:
-            pa = program_arena(cell.program)
-            if id(pa) not in raw_seen:
-                raw_seen[id(pa)] = pa
-                raw_list.append(pa)
-            ta = trace_arena(pa, cell.program, cell.trace, cell.warm_words)
-            if id(ta) not in t_spans:
-                t_spans[id(ta)] = trace_spans(pa, ta)
-            cell_pa.append(pa)
-            cell_ta.append(ta)
-        rawL = max(pa.L for pa in raw_list)
+            pkey = id(cell.program)
+            pa = programs.setdefault(pkey, arenas[pkey])
+            warm = tuple(cell.warm_words) if cell.warm_words else ()
+            tkey = (pkey, id(cell.trace), warm)
+            if tkey not in traces:
+                traces[tkey] = TraceArena(pa, cell.trace, warm)
+                tprog.append(pkey)
+            cell_trace.append(tkey)
+        plist = list(programs.values())
+        tlist = list(traces.values())
 
-        # Pass 2: offsets over the extended (blocks + span macros)
-        # space.  p_list holds ProgramArena-shaped views; every
-        # concatenation below reads them exactly like raw arenas.
-        exts: Dict[int, Tuple[Any, int]] = {}
-        tarenas: Dict[int, Tuple[TraceArena, int, int, int, int]] = {}
-        p_list: List[Any] = []
-        t_list: List[Tuple[TraceArena, int]] = []  # (tarena, boff)
-        boffs = np.zeros(n, i8)
-        roffs = np.zeros(n, i8)
-        rends = np.zeros(n, i8)
-        loffs = np.zeros(n, i8)
-        noffs = np.zeros(n, i8)
-        nblk = nrec = nload = nnode = 0
-        for pa in raw_list:
-            ext = extended_arena(pa)
-            exts[id(pa)] = (ext, nblk)
-            p_list.append(ext)
-            nblk += ext.n
-        for ci, cell in enumerate(cells):
-            boff = exts[id(cell_pa[ci])][1]
-            ta = cell_ta[ci]
-            tkey = id(ta)
-            if tkey not in tarenas:
-                tarenas[tkey] = (ta, nrec, nload, nnode, boff)
-                t_list.append((ta, boff))
-                nrec += ta.nrec
-                nload += ta.nloads
-                nnode += ta.nnodes
-            _, roff, loff, noff, _ = tarenas[tkey]
-            boffs[ci] = boff
-            roffs[ci] = roff
-            rends[ci] = roff + ta.nrec
-            loffs[ci] = loff
-            noffs[ci] = noff
-        # Per-cell extended block counts (for _init_dpred's hint scan).
-        self.pblkn = [exts[id(pa)][0].n for pa in cell_pa]
+        # Block offsets per program, record/load/node offsets per trace.
+        boff: Dict[int, int] = {}
+        nblk = 0
+        for pkey, pa in programs.items():
+            boff[pkey] = nblk
+            nblk += len(pa.ROWS)
+        tboffs = [boff[pkey] for pkey in tprog]
+        troffs, tloffs, tnoffs = [], [], []
+        roff: Dict[tuple, int] = {}
+        nrec = nload = nnode = 0
+        for tkey, ta in traces.items():
+            roff[tkey] = nrec
+            troffs.append(nrec)
+            tloffs.append(nload)
+            tnoffs.append(nnode)
+            nrec += len(ta.RBLK)
+            nload += len(ta.LLAT)
+            nnode += len(ta.NODEPAR)
 
-        L = max(pa.L for pa in p_list)
-        K = max(pa.K for pa in p_list)
-        self.L, self.K = L, K
+        # Block tables.  Python lists serve the scalar code (the row
+        # tail, wrong-path walks and dpred episodes): list indexing is
+        # ~5x cheaper than numpy scalar extraction, and those are the
+        # only per-cell (rather than per-step) costs the engine has.
+        self.pROWS = _cat(plist, "ROWS")
+        self.pNROWS = _cat(plist, "NROWS")
+        self.pFPC = _cat(plist, "FPC")
+        self.pTERM = _cat(plist, "TERM")
+        self.pSITE = _cat(plist, "SITE")
+        self.pRECONV = _cat(plist, "RECONV")
+        pBRPC = _cat(plist, "BRPC")
+        offs = list(boff.values())
+        self.pTAKEN = _cat(plist, "TAKEN", offs)
+        self.pFALL = _cat(plist, "FALL", offs)
+        self.pTARGET = _cat(plist, "TARGET", offs)
+        self.pCALLEE = _cat(plist, "CALLEE", offs)
+        isbr = [t == TERM_BR for t in self.pTERM]
+        self.pNBODY = [nr - br for nr, br in zip(self.pNROWS, isbr)]
+        # Perceptron and JRS PC indices of each block's branch, and the
+        # branch row's latency and sources.
+        self.pPCT = [(pc >> 2) % _NPERC if pc >= 0 else 0 for pc in pBRPC]
+        self.pJPC = [pc >> 2 if pc >= 0 else 0 for pc in pBRPC]
+        self.pBRLAT = [
+            rows[-1][1] if br else 0 for rows, br in zip(self.pROWS, isbr)
+        ]
+        self.pBRSRC = [
+            rows[-1][4] if br else () for rows, br in zip(self.pROWS, isbr)
+        ]
+        # Registers a block renames (for the episodes' select-uop set:
+        # one update per block instead of one set.add per row).
+        self.pDESTS = [
+            tuple({r[3] for r in rows if r[3] >= 0}) for rows in self.pROWS
+        ]
 
-        def cat1(name, fill=0):
-            out = np.full(nblk, fill, i8)
-            pos = 0
-            for pa in p_list:
-                out[pos:pos + pa.n] = getattr(pa, name)
-                pos += pa.n
-            return out
+        # Record, load and call-node tables.
+        self.pRECBLK = _cat(tlist, "RBLK", tboffs)
+        self.pREXTRA = _cat(tlist, "REXTRA")
+        self.pRTAKEN = _cat(tlist, "RTAKEN")
+        self.pRL0 = _cat(tlist, "RL0", tloffs)
+        self.pRS0 = _cat(tlist, "RS0")
+        self.pRUNDER = _cat(tlist, "RUNDER")
+        self.pRNODE = _cat(tlist, "RNODE", tnoffs)
+        self.pRFPC = [self.pFPC[b] for b in self.pRECBLK]
+        self.pLLAT = _cat(tlist, "LLAT")
+        self.pLFWD = _cat(tlist, "LFWD")
+        self.pNODEPAR = _cat(tlist, "NODEPAR", tnoffs)
+        self.pNODERET = _cat(tlist, "NODERET", tboffs)
 
-        def cat_gid(name):
-            # Successor gids: offset valid entries into group block space.
-            out = np.full(nblk, -1, i8)
-            pos = 0
-            for pa in p_list:
-                local = getattr(pa, name)
-                out[pos:pos + pa.n] = np.where(local >= 0, local + pos, -1)
-                pos += pa.n
-            return out
+        # -- per-cell configuration
+        cfg = [c.config for c in cells]
+        self.pwidth = [c.fetch_width for c in cfg]
+        self.phalfw = [max(1, w // 2) for w in self.pwidth]
+        self.pmaxb = [c.max_branches_per_cycle for c in cfg]
+        self.pdepth = [c.pipeline_depth for c in cfg]
+        self.prw = [c.retire_width for c in cfg]
+        self.prob = [c.rob_size for c in cfg]
+        self.pplimit = [c.dpred_path_limit for c in cfg]
+        self.pghrpred = [c.dpred_ghr_policy == "predicted" for c in cfg]
+        self.ptgid = [roff[tkey] for tkey in cell_trace]
+        self.prends = [
+            roff[tkey] + len(traces[tkey].RBLK) for tkey in cell_trace
+        ]
+        ispred = [c.mode in ("dmp", "dhp") for c in cfg]
+        self.anydp = any(ispred)
 
-        self.NROWS = cat1("NROWS")
-        self.NBODY = cat1("NBODY")
-        self.FPC = cat1("FPC")
-        self.TERM = cat1("TERM")
-        self.TAKEN = cat_gid("TAKEN")
-        self.FALL = cat_gid("FALL")
-        self.TARGET = cat_gid("TARGET")
-        self.CALLEE = cat_gid("CALLEE")
-        self.SITE = cat1("SITE", -1)
-        self.BRPC = cat1("BRPC", -1)
-        # Perceptron and JRS PC indices of each block's branch.
-        isbrpc = self.BRPC >= 0
-        self.PCT = np.where(isbrpc, (self.BRPC >> 2) % _NPERC, 0)
-        self.JPC = np.where(isbrpc, self.BRPC >> 2, 0)
-        self.RECONV = cat1("RECONV")
-        self.BRLAT = cat1("BRLAT")
-        self.BRSRC = np.full((nblk, K), ZREG, i8)
-        self.RKIND = np.zeros((nblk, L), i8)
-        self.RLAT = np.zeros((nblk, L), i8)
-        self.RDEST = np.full((nblk, L), JREG, i8)
-        self.RSRC = np.full((nblk, L, K), ZREG, i8)
+        # 4-byte timing lanes.  One instruction can push the fetch
+        # cycle forward by at most depth + max-latency + 2, so a loose
+        # per-cell bound on the final cycle is records * rows * that;
+        # when it clears int32 (any realistic trace does, by orders of
+        # magnitude) the timing state and latency tables are 4 bytes,
+        # halving the memory traffic of the per-row vector work — which
+        # is where the engine spends its time at scale.  Index/identity
+        # arrays (cursors, ring indices, ghr) stay int64.
+        maxlat = max(
+            max(self.pLLAT, default=0),
+            max((r[1] for rows in self.pROWS for r in rows), default=0),
+        )
+        step = max(self.pdepth) + maxlat + 2
+        # The raw L, not the macro-extended one: a span macro's rows
+        # cover as many records as the span merged, so per *record* the
+        # raw maximum still bounds the advance (and the final cycle is
+        # unchanged by construction).
+        rawL = max(pa.L for pa in plist)
+        bound = max(len(ta.RBLK) for ta in tlist) * (
+            (rawL + 2) * step + max(self.pREXTRA, default=0)
+            + max(self.pRUNDER, default=0) * step + 2
+        )
+        if self.anydp:
+            # A dpred episode can overshoot its record's own accounting
+            # by at most one more block + redirect tail before the
+            # resolution check stops the path: double the slack.
+            bound *= 2
+        tdt = np.int32 if 0 < bound < 2**31 - 2 else i8
+
+        # -- numpy tables the vector step reads, each built once.
+        L = max(self.pNROWS)
+        K = max(pa.K for pa in plist)
+        self.K = K
+        self.NBODY = np.asarray(self.pNBODY, i8)
+        self.TERM = np.asarray(self.pTERM, i8)
+        self.SITE = np.asarray(self.pSITE, i8)
+        self.PCT = np.asarray(self.pPCT, i8)
+        self.JPC = np.asarray(self.pJPC, i8)
+        self.BRLAT = np.asarray(self.pBRLAT, tdt)
+        # Padded decode tables, one pass over the rows: a row without a
+        # destination writes the junk column JREG, an empty source slot
+        # reads ZREG (always 0).  Decode values are register names or
+        # opcode kinds (<= 33): 1-byte lanes quarter the gather traffic
+        # of the per-row loop.
+        pad = [(ZREG,) * (K - j) for j in range(K + 1)]
+        self.BRSRC = np.array(
+            [s + pad[len(s)] for s in self.pBRSRC], np.int8
+        ).reshape(nblk, K)
+        self.RKIND = np.zeros((nblk, L), np.int8)
+        self.RLAT = np.zeros((nblk, L), tdt)
+        self.RDEST = np.full((nblk, L), JREG, np.int8)
+        self.RSRC = np.full((nblk, L, K), ZREG, np.int8)
         self.RLORD = np.full((nblk, L), -1, i8)
         self.RSTORD = np.full((nblk, L), -1, i8)
-        pos = 0
-        for pa in p_list:
-            self.BRSRC[pos:pos + pa.n, :pa.K] = pa.BRSRC
-            self.RKIND[pos:pos + pa.n, :pa.L] = pa.RKIND
-            self.RLAT[pos:pos + pa.n, :pa.L] = pa.RLAT
-            self.RDEST[pos:pos + pa.n, :pa.L] = pa.RDEST
-            self.RSRC[pos:pos + pa.n, :pa.L, :pa.K] = pa.RSRC
-            self.RLORD[pos:pos + pa.n, :pa.L] = pa.RLORD
-            self.RSTORD[pos:pos + pa.n, :pa.L] = pa.RSTORD
-            pos += pa.n
-        # Decode-table values are register names / opcode kinds (<= 33):
-        # 1-byte lanes quarter the gather traffic of the per-row loop.
-        self.RKIND = self.RKIND.astype(np.int8)
-        self.RDEST = self.RDEST.astype(np.int8)
-        self.RSRC = self.RSRC.astype(np.int8)
-        self.BRSRC = self.BRSRC.astype(np.int8)
+        for gb, rows in enumerate(self.pROWS):
+            if not rows:
+                continue
+            nr = len(rows)
+            kinds, lats, _lat1, dests, srcs, lords, stords = zip(*rows)
+            self.RKIND[gb, :nr] = kinds
+            self.RLAT[gb, :nr] = lats
+            self.RDEST[gb, :nr] = [JREG if d < 0 else d for d in dests]
+            self.RSRC[gb, :nr] = [s + pad[len(s)] for s in srcs]
+            self.RLORD[gb, :nr] = lords
+            self.RSTORD[gb, :nr] = stords
         # Per-(block, row) presence bits — src slot j occupied -> bit j,
         # load -> bit K, store -> bit K+1.  The step loop ORs these over
         # the active lanes in one reduction instead of scanning each
@@ -566,99 +645,62 @@ class _Group:
         pres |= (self.RKIND == KIND_LOAD).astype(i8) << K
         pres |= (self.RKIND == KIND_STORE).astype(i8) << (K + 1)
         self.PRES = pres
-
-        self.RECBLK = np.zeros(nrec, i8)
         # Horizon span lookup: the block to *fetch* at each record (the
         # record's own, or a span macro covering a quiet run), and the
         # record index where that fetch lands the cursor.
-        self.SPANBLK = np.zeros(nrec, i8)
-        self.SPANLAST = np.zeros(nrec, i8)
-        self.REXTRA = np.zeros(nrec, i8)
-        self.RTAKEN = np.zeros(nrec, i8)
-        self.RSEQ0 = np.zeros(nrec, i8)
-        self.RL0 = np.zeros(nrec, i8)
-        self.RS0 = np.zeros(nrec, i8)
-        self.RUNDER = np.zeros(nrec, i8)
-        self.RNODE = np.full(nrec, -1, i8)
-        self.RFPC = np.full(nrec, NO_UPC, i8)
-        self.LLAT = np.zeros(max(nload, 1), i8)
-        self.LFWD = np.full(max(nload, 1), -1, i8)
-        self.NODEPAR = np.full(max(nnode, 1), -1, i8)
-        self.NODERET = np.full(max(nnode, 1), -1, i8)
-        rpos = lpos = npos = 0
-        for ta, boff in t_list:
-            sl = slice(rpos, rpos + ta.nrec)
-            self.RECBLK[sl] = ta.RBLK + boff
-            spans = t_spans[id(ta)]
-            self.SPANBLK[sl] = spans.SPANBLK + boff
-            self.SPANLAST[sl] = spans.SPANLAST + rpos
-            self.REXTRA[sl] = ta.REXTRA
-            self.RTAKEN[sl] = ta.RTAKEN
-            self.RSEQ0[sl] = ta.RSEQ0
-            self.RL0[sl] = ta.RL0 + lpos
-            self.RS0[sl] = ta.RS0
-            self.RUNDER[sl] = ta.RUNDER
-            self.RNODE[sl] = np.where(ta.RNODE >= 0, ta.RNODE + npos, -1)
-            self.RFPC[sl] = ta.RFPC
-            self.LLAT[lpos:lpos + ta.nloads] = ta.LLAT
-            self.LFWD[lpos:lpos + ta.nloads] = ta.LFWD
-            if ta.nnodes:
-                nsl = slice(npos, npos + ta.nnodes)
-                self.NODEPAR[nsl] = np.where(
-                    ta.NODEPAR >= 0, ta.NODEPAR + npos, -1
-                )
-                self.NODERET[nsl] = ta.NODERET + boff
-            rpos += ta.nrec
-            lpos += ta.nloads
-            npos += ta.nnodes
+        self.SPANBLK = np.asarray(_cat(tlist, "SPANBLK", tboffs), i8)
+        self.SPANLAST = np.asarray(_cat(tlist, "SPANLAST", troffs), i8)
+        self.REXTRA = np.asarray(self.pREXTRA, tdt)
+        self.RTAKEN = np.asarray(self.pRTAKEN, i8)
+        self.RSEQ0 = np.asarray(_cat(tlist, "RSEQ0"), i8)
+        self.RL0 = np.asarray(self.pRL0, i8)
+        self.RS0 = np.asarray(self.pRS0, i8)
+        self.RUNDER = np.asarray(self.pRUNDER, tdt)
+        self.LLAT = np.asarray(self.pLLAT, tdt)
+        self.LFWD = np.asarray(self.pLFWD, i8)
 
-        # -- per-cell configuration
-        cfg = [c.config for c in cells]
-        self.width = np.array([c.fetch_width for c in cfg], i8)
-        self.halfw = np.maximum(1, self.width // 2)
-        self.maxb = np.array([c.max_branches_per_cycle for c in cfg], i8)
-        self.depth = np.array([c.pipeline_depth for c in cfg], i8)
-        self.rw = np.array([c.retire_width for c in cfg], i8)
-        self.rob = np.array([c.rob_size for c in cfg], i8)
+        self.width = np.array(self.pwidth, tdt)
+        self.halfw = np.array(self.phalfw, tdt)
+        self.maxb = np.array(self.pmaxb, tdt)
+        self.depth = np.array(self.pdepth, tdt)
+        self.rw = np.array(self.prw, tdt)
+        self.rob = np.array(self.prob, i8)
         self.isdual = np.array([c.mode == "dualpath" for c in cfg], bool)
-        self.ispred = np.array(
-            [c.mode in ("dmp", "dhp") for c in cfg], bool
-        )
-        self.anydp = bool(self.ispred.any())
         self.thresh = np.array(
             [make_estimator("jrs", **c.confidence_args).threshold
              for c in cfg], i8
         )
-        self.boffs, self.roffs, self.rends = boffs, roffs, rends
-        self.loffs, self.noffs = loffs, noffs
+        self.rends = np.array(self.prends, i8)
 
         # -- mutable per-cell state
-        maxrob = int(self.rob.max())
+        maxrob = max(self.prob)
         self.maxrob = maxrob
-        maxstores = max([ta.nstores for ta, _ in t_list] + [0])
+        maxstores = max(ta.nstores for ta in tlist)
         self.sjunk = maxstores
-        self.cycle = np.zeros(n, i8)
+        self.cycle = np.zeros(n, tdt)
         self.slots = self.width.copy()
         self.branches = self.maxb.copy()
-        self.dual = np.full(n, -1, i8)
-        self.last = np.zeros(n, i8)
-        self.cnt = np.zeros(n, i8)
+        self.dual = np.full(n, -1, tdt)
+        self.last = np.zeros(n, tdt)
+        self.cnt = np.zeros(n, tdt)
         self.ghr = np.zeros(n, i8)
-        self.cursor = roffs.copy()
-        self.state = np.where(roffs < rends, _TRACE, _DONE).astype(i8)
-        self.RR = np.zeros((n, JREG + 1), i8)
-        self.RING = np.zeros((n, maxrob + 1), i8)
-        self.SREADY = np.zeros((n, maxstores + 1), i8)
+        self.cursor = np.array(self.ptgid, i8)
+        self.state = np.where(
+            self.cursor < self.rends, _TRACE, _DONE
+        ).astype(i8)
+        self.RR = np.zeros((n, JREG + 1), tdt)
+        self.RING = np.zeros((n, maxrob + 1), tdt)
+        self.SREADY = np.zeros((n, maxstores + 1), tdt)
         # Predicated-store state (dmp/dhp episodes only): the cycle each
         # store's guarding predicate resolves, by global store ordinal.
         # 0 is the "not predicated / resolved" sentinel — real episode
         # resolutions are always > 0 — so the vector load rule
         # ``base >= pready ? forward : wait`` degenerates to the plain
         # forward for every main-path store.
-        self.SPREADYP = np.zeros((n, maxstores + 1), i8)
+        self.SPREADYP = np.zeros((n, maxstores + 1), tdt)
         self.spid: List[Dict[int, int]] = [{} for _ in range(n)]
         self.pcnt = [0] * n
-        nsites = max(pa.nsites for pa in p_list)
+        nsites = max(pa.nsites for pa in plist)
         self.sitejunk = nsites
         # stats counters
         self.FC = np.zeros(n, i8)
@@ -677,70 +719,15 @@ class _Group:
         self.LW = np.zeros(n, i8)
         self.EC = np.zeros((n, 7), i8)  # Table 1 exit cases, keys 1..6
 
-        # Python-native copies of every table the scalar walks and
-        # episode replays touch: list indexing is ~5x cheaper than numpy
-        # scalar extraction, and the walks are the only per-cell (rather
-        # than per-step) cost the engine has left.
-        self.pNROWS = self.NROWS.tolist()
-        self.pFPC = self.FPC.tolist()
-        self.pTERM = self.TERM.tolist()
-        self.pTAKEN = self.TAKEN.tolist()
-        self.pFALL = self.FALL.tolist()
-        self.pTARGET = self.TARGET.tolist()
-        self.pCALLEE = self.CALLEE.tolist()
-        self.pPCT = self.PCT.tolist()
-        self.pRECONV = self.RECONV.tolist()
-        self.pNODERET = self.NODERET.tolist()
-        self.pNODEPAR = self.NODEPAR.tolist()
-        self.pRFPC = self.RFPC.tolist()
-        self.pRNODE = self.RNODE.tolist()
-        self.prends = self.rends.tolist()
-        self.pwidth = self.width.tolist()
-        self.phalfw = self.halfw.tolist()
-        self.pmaxb = self.maxb.tolist()
-        self.pRL0 = self.RL0.tolist()
-        self.pRS0 = self.RS0.tolist()
-        self.pLLAT = self.LLAT.tolist()
-        self.pLFWD = self.LFWD.tolist()
-        # Per-block row tuples: (kind, latency, max(latency, 1),
-        # dest or -1, srcs, load ordinal, store ordinal) — the scalar
-        # BlockPlan row with the JREG/ZREG vector padding stripped, for
-        # the step loop's scalar row tail and the dpred episodes.
-        rk = self.RKIND.tolist()
-        rl = self.RLAT.tolist()
-        rd = self.RDEST.tolist()
-        rs = self.RSRC.tolist()
-        lo = self.RLORD.tolist()
-        so = self.RSTORD.tolist()
-        self.pROWS = [
-            [
-                (
-                    rk[gb][i],
-                    rl[gb][i],
-                    rl[gb][i] if rl[gb][i] > 1 else 1,
-                    rd[gb][i] if rd[gb][i] < ZREG else -1,
-                    tuple(s for s in rs[gb][i] if s != ZREG),
-                    lo[gb][i],
-                    so[gb][i],
-                )
-                for i in range(self.pNROWS[gb])
-            ]
-            for gb in range(nblk)
-        ]
-        # Registers a block renames (for the episodes' select-uop set:
-        # one update per block instead of one set.add per row).
-        self.pDESTS = [
-            tuple({r[3] for r in rows if r[3] >= 0}) for rows in self.pROWS
-        ]
         # Ring reads within one step are static (no row this step can
         # rewrite a slot a later row reads) whenever the step's row
         # count fits the smallest ROB — a per-step test in _trace_step
         # against this bound, so one rare long block (or a span macro)
         # can't push every step onto the masked per-row path.
-        self.rob_min = int(self.rob.min())
-        # Cells sharing a trace arena share its record offset; that
-        # offset keys the per-step structural walk cache (_WalkPath).
-        self.ptgid = self.roffs.tolist()
+        self.rob_min = min(self.prob)
+        # Cells sharing a trace table share its record offset
+        # (``ptgid``); that offset keys the per-step structural walk
+        # cache (_WalkPath).
         self._walk_cache: Dict[tuple, _WalkPath] = {}
         # Weight-divergence epochs.  Cells over one trace keep identical
         # predictor state (weights, GHR, JRS, BTB seen-bits) until a
@@ -764,7 +751,9 @@ class _Group:
         self.psrow = [first[tg] for tg in self.ptgid]
         self.srow = np.array(self.psrow, i8)
         self._srowof = {(tg, 0): r for tg, r in first.items()}
-        self._srefs = np.bincount(self.psrow, minlength=n + 1).tolist()
+        self._srefs = [0] * (n + 1)
+        for row in self.psrow:
+            self._srefs[row] += 1
         self._sfree = list(range(n, len(first) - 1, -1))
         self.pred_states = self.max_pred_states = len(first)
         self.W = np.zeros((n + 1, _NPERC, _HBITS + 1), np.int16)
@@ -780,100 +769,43 @@ class _Group:
         # the scalar-tail sections are timed in place (two clock reads
         # per resolution step at most), the step loop by subtraction.
         self._prof = {"episode_tails": 0.0, "scalar_walks": 0.0}
+        # The step loop allocates and frees (rows x lanes) numpy
+        # temporaries every step.  glibc maps blocks above its mmap
+        # threshold (128 KiB at start) afresh and hands freed heap tops
+        # back to the OS, which faults them in again on every step (76k
+        # minor faults in a seed-0 dmp-sweep run, 7-16% of its run
+        # time).  Freeing one mapped block raises the threshold to its
+        # size, and the trim threshold to twice that, so the temporaries
+        # stay on the heap.  Elsewhere this is one allocation whose
+        # pages are never touched.
+        np.empty(4 * L * n, i8)
 
-        # 4-byte timing lanes.  One instruction can push the fetch
-        # cycle forward by at most depth + max-latency + 2, so a loose
-        # per-cell bound on the final cycle is records * rows * that;
-        # when it clears int32 (any realistic trace does, by orders of
-        # magnitude) the timing state and latency tables shrink to
-        # 4 bytes, halving the memory traffic of the per-row vector
-        # work — which is where the engine spends its time at scale.
-        # Index/identity arrays (cursors, ring indices, ghr) stay int64.
-        maxlat = int(max(
-            self.RLAT.max(), self.BRLAT.max(), self.LLAT.max()
-        ))
-        step = int(self.depth.max()) + maxlat + 2
-        # rawL, not the macro-extended L: a span macro's rows cover as
-        # many records as the span merged, so per *record* the raw
-        # maximum still bounds the advance (and the final cycle is
-        # unchanged by construction).
-        bound = int((rends - roffs).max()) * (
-            (rawL + 2) * step
-            + int(self.REXTRA.max()) + int(self.RUNDER.max()) * step + 2
-        )
-        if self.anydp:
-            # A dpred episode can overshoot its record's own accounting
-            # by at most one more block + redirect tail before the
-            # resolution check stops the path: double the slack.
-            bound *= 2
-        if 0 < bound < 2**31 - 2:
-            for name in (
-                "RLAT", "BRLAT", "LLAT", "REXTRA", "RUNDER",
-                "width", "halfw", "maxb", "depth", "rw",
-                "cycle", "slots", "branches", "dual", "last", "cnt",
-                "RR", "RING", "SREADY", "SPREADYP",
-            ):
-                setattr(self, name, getattr(self, name).astype(np.int32))
-
-        # -- dynamic-predication static tables (dmp/dhp cells only)
+        # -- dynamic-predication static tables (dmp/dhp cells only).
+        # ``HASH[ci, gb]`` marks the diverge branches cell ``ci`` may
+        # predicate: block ``gb`` ends in a conditional branch whose PC
+        # has a non-loop entry in the cell's hint table (the scalar
+        # ``_maybe_enter_dpred`` hash lookup, hoisted to init time).
+        # ``cfms[ci][gb]`` is the episode's CFM-CAM content for that
+        # branch.  The range includes the program's span macros: one
+        # ending in a hinted diverge branch enters episodes exactly like
+        # its final raw block (its branch PC *is* that block's).
         self.HASH = np.zeros((n, max(nblk, 1)), bool)
         self.cfms: List[Dict[int, tuple]] = [{} for _ in range(n)]
-        if self.anydp:
-            self._init_dpred(cells, cfg, nblk)
-
-    def _init_dpred(self, cells, cfg, nblk: int) -> None:
-        """Static tables for the dmp/dhp episodes (run by
-        :mod:`repro.uarch.batch.gang`).
-
-        ``HASH[ci, gb]`` marks the diverge branches cell ``ci`` may
-        predicate: block ``gb`` ends in a conditional branch whose PC has
-        a non-loop entry in the cell's hint table (the scalar
-        ``_maybe_enter_dpred`` hash lookup, hoisted to init time).
-        ``cfms[ci][gb]`` is the episode's CFM-CAM content for that
-        branch.  The python-native row tables mirror the walk-path
-        rationale above: episodes are scalar tails, and list indexing
-        beats numpy scalar extraction several-fold there."""
-        pBRPC = self.BRPC.tolist()
-        ispred = self.ispred.tolist()
         for ci, cell in enumerate(cells):
             if not ispred[ci] or cell.hints is None:
                 continue
-            config = cfg[ci]
-            b0 = int(self.boffs[ci])
-            # Extended range: a span macro ending in a hinted diverge
-            # branch enters episodes exactly like its final raw block
-            # (its BRPC *is* that block's).
-            for lb in range(self.pblkn[ci]):
-                gb = b0 + lb
-                if self.pTERM[gb] != TERM_BR:
+            b0 = boff[id(cell.program)]
+            for gb in range(b0, b0 + len(arenas[id(cell.program)].ROWS)):
+                if not isbr[gb]:
                     continue
                 hint = cell.hints.get(pBRPC[gb])
                 if hint is None or hint.is_loop:
                     continue  # loop hints are scalar-only (envelope)
                 self.HASH[ci, gb] = True
-                if config.multiple_cfm:
+                if cfg[ci].multiple_cfm:
                     self.cfms[ci][gb] = tuple(hint.cfm_pcs)[:8]
                 else:
                     self.cfms[ci][gb] = (hint.primary_cfm,)
-        self.pdepth = self.depth.tolist()
-        self.prob = self.rob.tolist()
-        self.prw = self.rw.tolist()
-        self.pSITE = self.SITE.tolist()
-        self.pNBODY = self.NBODY.tolist()
-        self.pBRLAT = self.BRLAT.tolist()
-        self.pJPC = self.JPC.tolist()
-        self.pRECBLK = self.RECBLK.tolist()
-        self.pREXTRA = self.REXTRA.tolist()
-        self.pRTAKEN = self.RTAKEN.tolist()
-        self.pRUNDER = self.RUNDER.tolist()
-        self.pBRSRC = [
-            tuple(s for s in row if s != ZREG)
-            for row in self.BRSRC.tolist()
-        ]
-        self.pplimit = [c.dpred_path_limit for c in cfg]
-        self.pghrpred = [
-            c.dpred_ghr_policy == "predicted" for c in cfg
-        ]
 
     # ------------------------------------------------------------------
     # Driver

@@ -309,13 +309,10 @@ def test_cell_supported_reports_reasons():
     assert ok, reason
 
 
-@pytest.mark.skipif(not batch_supported(), reason="numpy unavailable")
-@pytest.mark.parametrize("extra_sites", (0, 1))
-def test_btb_set_overflow_falls_back(extra_sites):
-    """The seen-bit BTB is exact only while every redirect site fits in
-    its set: jumps one BTB set's worth of instructions apart all land in
-    one set, so one site more than its ways takes the fallback.  Both
-    sides of the line match the reference."""
+def _btb_set_program(extra_sites: int):
+    """Jumps one BTB set's worth of instructions apart, so every
+    redirect site lands in one set: ``extra_sites`` sites more than its
+    ways.  Returns ``(program, trace)``."""
     ways = BranchTargetBuffer.DEFAULT_WAYS
     sets = MachineConfig().btb_entries // ways
     sites = ways + extra_sites
@@ -329,7 +326,17 @@ def test_btb_set_overflow_falls_back(extra_sites):
     program = Program("btb-set")
     program.add_function(builder.build())
     program.seal()
-    trace = Interpreter(program, memory=Memory()).run()
+    return program, Interpreter(program, memory=Memory()).run()
+
+
+@pytest.mark.skipif(not batch_supported(), reason="numpy unavailable")
+@pytest.mark.parametrize("extra_sites", (0, 1))
+def test_btb_set_overflow_falls_back(extra_sites):
+    """The seen-bit BTB is exact only while every redirect site fits in
+    its set: jumps one BTB set's worth of instructions apart all land in
+    one set, so one site more than its ways takes the fallback.  Both
+    sides of the line match the reference."""
+    program, trace = _btb_set_program(extra_sites)
     cell = BatchCell(program, trace, MachineConfig(engine="batch"))
     ok, reason = cell_supported(cell)
     assert ok == (not extra_sites), reason
@@ -377,6 +384,33 @@ def _same_path_forwarding_program(iterations: int = 60):
         DivergeHint((cfg.block("merge").first_pc,)),
     )
     return program, trace, hints
+
+
+@pytest.mark.skipif(not batch_supported(), reason="numpy unavailable")
+def test_program_fallback_inside_a_multi_program_group():
+    """A program the vector path refuses (BTB set overflow) shares one
+    call with a benchmark's sizing cells: its reason is counted once,
+    every other cell stays on the vector path, and every cell matches
+    the reference engine."""
+    program, trace = _btb_set_program(1)
+    ctx = _context("parser")
+    configs = [
+        MachineConfig.dmp(fetch_width=width, rob_size=rob)
+        for width in (4, 8) for rob in (128, 512)
+    ]
+    cells = [_cell(ctx, config) for config in configs]
+    cells.insert(2, BatchCell(program, trace, MachineConfig(engine="batch")))
+    reasons = {}
+    results = run_batch(cells, fallback_reasons=reasons)
+    assert reasons == {"BTB set can overflow (eviction possible)": 1}
+    refs = [_reference(ctx, config) for config in configs]
+    refs.insert(
+        2, simulate(program, trace, MachineConfig(engine="reference"))
+    )
+    for cell, ref, got in zip(cells, refs, results):
+        assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
+            cell.benchmark, cell.config.describe(),
+        )
 
 
 def test_same_path_store_forwarding_bit_identical():
@@ -455,6 +489,45 @@ def test_lanes_of_one_trace_epoch_share_predictor_state(monkeypatch):
     # Lanes leave a row one at a time, so the peak can fall mid-step.
     assert gangs["max_pred_states"] >= max(keys_seen), gangs
     assert gangs["pred_states"] > gangs["max_pred_states"], gangs
+
+
+@pytest.mark.skipif(not batch_supported(), reason="numpy unavailable")
+def test_static_tables_live_for_one_call(monkeypatch):
+    """``run_batch`` builds one program table per distinct program and
+    one trace table per distinct trace, however many cells share them,
+    and keeps none of them after it returns."""
+    import gc
+
+    from repro.uarch.batch.arena import ProgramArena, TraceArena
+
+    built = {ProgramArena: 0, TraceArena: 0}
+    for cls in built:
+        def counting(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    cells = [
+        _cell(_context(name), MachineConfig.dmp(
+            fetch_width=width, pipeline_depth=depth, rob_size=rob,
+            retire_width=retire,
+        ))
+        for name in ("parser", "gzip")
+        for (width, depth, rob, retire) in _EPOCH_SIZINGS
+    ]
+    first = None
+    for _ in range(2):
+        built.update(dict.fromkeys(built, 0))
+        results = [dataclasses.asdict(s) for s in run_batch(cells)]
+        assert built == {ProgramArena: 2, TraceArena: 2}, built
+        gc.collect()
+        alive = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, (ProgramArena, TraceArena))
+        ]
+        assert not alive, alive
+        assert first is None or results == first
+        first = results
 
 
 def test_run_suite_batch_executor_matches_serial():

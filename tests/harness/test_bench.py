@@ -354,3 +354,28 @@ class TestFindLatestBaseline:
     def test_empty_directory_is_actionable(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="repro bench"):
             bench.find_latest_baseline(str(tmp_path))
+
+
+class TestCliLatestBaseline:
+    def test_latest_gates_against_the_older_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``repro bench --baseline latest`` compares against the newest
+        report that existed *before* the run, not the one the run
+        writes: a 2x run next to an older 4x report regresses."""
+        from repro.cli import main
+
+        older = tmp_path / "BENCH_20200101T000000Z.json"
+        bench.save_report(_report([_cell(speedup=4.0)]), older)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            bench, "run_bench",
+            lambda **kwargs: _report([_cell(speedup=2.0)]),
+        )
+        code = main(["bench", "--smoke", "--baseline", "latest"])
+        out, err = capsys.readouterr()
+        assert f"baseline: ./{older.name}" in out
+        assert "REGRESSION" in err
+        assert code == 1
+        # The run still wrote its own report, next to the older one.
+        assert len(list(tmp_path.glob("BENCH_*.json"))) == 2
