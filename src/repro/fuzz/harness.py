@@ -31,7 +31,6 @@ import time
 import traceback
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.processors import simulate
 from repro.errors import (
     OracleMismatchError,
     ReproError,
@@ -48,9 +47,11 @@ from repro.profiling.diverge_selection import SelectionThresholds
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 
-# Unused here: hint selection runs through repro.harness.experiment.
-# perf/layers.py wraps these names on this module when it traces a run,
-# and a traced run aborts on a missing attribute.
+# Unused here: hint selection and simulation run through
+# repro.harness.experiment.  perf/layers.py wraps these names on this
+# module when it traces a run, and a traced run aborts on a missing
+# attribute.
+from repro.core.processors import simulate  # noqa: F401
 from repro.profiling.diverge_selection import (  # noqa: F401
     build_hint_table,
     candidate_branch_pcs,
@@ -188,15 +189,7 @@ class FuzzProgram(BenchmarkContext):
         never memoized, since fingerprinting the config would cost more
         than it saves.  ``mode`` only names the cell; the hints are
         :meth:`hints_for` ``config``."""
-        return simulate(
-            self.program,
-            self.trace,
-            config,
-            hints=self.hints_for(config),
-            benchmark=self.name,
-            warm_words=self.workload.memory.warm_words(),
-            tracer=tracer,
-        )
+        return self.simulate_fresh(config, tracer)[0]
 
 
 def _stat_diff(ref: SimStats, fast: SimStats) -> List[str]:
@@ -456,7 +449,7 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-# -- process-pool plumbing (the repro.harness.parallel pattern) -----------
+# -- process-pool plumbing (the pattern of run_suite's pool executor) -----
 
 _WORKER_ARGS: Tuple = ()
 

@@ -2,13 +2,13 @@
 
 * :mod:`repro.harness.experiment` — per-benchmark context (workload →
   trace → profiles → hint tables, built once, shared across machine
-  configurations) and suite runners;
+  configurations) and suite runners: each cell resolved once from the
+  memo, the disk cache or a serial, process-pool or batch simulation;
 * :mod:`repro.harness.fingerprint` — canonical experiment fingerprints
   (the cache/memo keys; never ``repr``);
 * :mod:`repro.harness.cache` — persistent, checksummed artifact cache;
 * :mod:`repro.harness.bench` — engine throughput microbenchmark and
   perf-regression gate (``repro bench``);
-* :mod:`repro.harness.parallel` — process-pool fan-out of simulations;
 * :mod:`repro.harness.tables` — text rendering of result tables;
 * :mod:`repro.harness.figures` — one driver per paper figure/table, each
   returning the data series the paper plots.

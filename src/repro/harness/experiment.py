@@ -13,16 +13,19 @@ Two further layers sit on top (docs/performance.md):
   can be persisted to an :class:`~repro.harness.cache.ArtifactCache`,
   keyed by canonical fingerprints (never ``repr``), so repeated CLI
   invocations skip work they have already done; and
-* :func:`run_suite` accepts ``jobs=N`` to fan the
-  ``(benchmark, config)`` simulations out over a process pool
-  (:mod:`repro.harness.parallel`), merging results deterministically —
-  a parallel or cache-warm run is bit-identical to a serial cold run.
+* :func:`run_suite` resolves each ``(benchmark, config)`` cell once —
+  from the memo, the disk cache, or a fresh simulation — and hands only
+  the fresh ones to an executor: serial, a process pool (``jobs=N``) or
+  the batch engine.  It counts and stores every fresh result itself, so
+  a parallel, batch or cache-warm run is bit-identical to a serial cold
+  run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -50,7 +53,7 @@ from repro.profiling.profiler import (
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 from repro.validation.hints import check_hint_table
-from repro.validation.runtime import paranoid_enabled
+from repro.validation.runtime import paranoid_enabled, set_paranoid
 from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
 
 #: Timed stages of a context, in pipeline order; each has a
@@ -353,10 +356,36 @@ class BenchmarkContext:
                 return stats
         return None
 
-    def store_stats(self, key: str, stats: SimStats) -> None:
-        """Adopt externally-computed stats (e.g. from a worker process)
-        into the memo and the on-disk cache under the :meth:`sim_key`
-        ``key``."""
+    def simulate_fresh(
+        self, config: MachineConfig, tracer=None
+    ) -> Tuple[SimStats, float]:
+        """Simulate under ``config`` afresh, bypassing the memo and the
+        disk cache: the stats and the seconds the simulation took.
+
+        The artifacts the run reads resolve first, each under its own
+        stage timer, so the seconds cover the simulation alone.  Nothing
+        is counted or stored here; :meth:`_record` does that."""
+        hints = self.hints_for(config)  # timed as "select" if first use
+        trace = self.trace  # timed as "interpret" if first use
+        warm = self.workload.memory.warm_words()
+        t0 = time.perf_counter()
+        stats = simulate(
+            self.program,
+            trace,
+            config,
+            hints=hints,
+            benchmark=self.name,
+            warm_words=warm,
+            tracer=tracer,
+        )
+        return stats, time.perf_counter() - t0
+
+    def _record(self, key: str, stats: SimStats, seconds: float) -> None:
+        """Count one fresh simulation that took ``seconds`` and store its
+        stats in the memo and the on-disk cache under the
+        :meth:`sim_key` ``key``."""
+        self.stage_seconds["simulate"] += seconds
+        self.sims_run += 1
         self._sim_cache[key] = stats
         if self._cache is not None:
             self._cache.store_pickle("sim", f"{self.fingerprint}-{key}", stats)
@@ -371,28 +400,12 @@ class BenchmarkContext:
         participates in the key (``repr`` omissions cannot collide two
         different configs onto the same cached stats)."""
         key = self.sim_key(config)
-        if tracer is None:
-            # A traced run cannot be satisfied from the memo/cache: the
-            # event stream only exists if the simulator actually runs.
-            stats = self.cached_stats(key)
-            if stats is not None:
-                return stats
-        hints = self.hints_for(config)  # timed as "select" if first use
-        trace = self.trace  # timed as "interpret" if first use
-        warm = self.workload.memory.warm_words()
-        t0 = time.perf_counter()
-        stats = simulate(
-            self.program,
-            trace,
-            config,
-            hints=hints,
-            benchmark=self.name,
-            warm_words=warm,
-            tracer=tracer,
-        )
-        self._timed("simulate", t0)
-        self.sims_run += 1
-        self.store_stats(key, stats)
+        # A traced run cannot be satisfied from the memo/cache: the event
+        # stream only exists if the simulator actually runs.
+        stats = None if tracer is not None else self.cached_stats(key)
+        if stats is None:
+            stats, seconds = self.simulate_fresh(config, tracer)
+            self._record(key, stats, seconds)
         return stats
 
 
@@ -588,138 +601,102 @@ def _cell_tracer(context: BenchmarkContext, label: str, trace_dir):
     )
 
 
-def _simulate_cell(
-    context: BenchmarkContext, label: str, config: MachineConfig,
-    trace_dir, verbose: bool,
-) -> SimStats:
-    """One (benchmark, config) cell through the context (memo/cache
-    aware), with optional event tracing."""
+#: One cell ``run_suite`` hands an executor: the context, the label
+#: (it names the event trace), the configuration and its memo key.
+_Cell = Tuple[BenchmarkContext, str, MachineConfig, str]
+
+
+def _fresh_cell(
+    context: BenchmarkContext, label: str, config: MachineConfig, trace_dir
+) -> Tuple[SimStats, float]:
+    """One cell simulated afresh in this process, with its event trace
+    streamed into ``trace_dir`` when one is given."""
     tracer = _cell_tracer(context, label, trace_dir)
     try:
-        stats = context.simulate(config, tracer=tracer)
+        return context.simulate_fresh(config, tracer)
     finally:
         if tracer is not None:
             tracer.close()
-    if verbose:
-        print(
-            f"  {context.name:8s} {label:24s} IPC={stats.ipc:.3f} "
-            f"flushes={stats.pipeline_flushes}"
-        )
-    return stats
 
 
-def _execute_serial(
-    run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
-) -> None:
-    """One cell at a time, in deterministic order."""
-    for context in run_contexts:
-        for label, config in configs.items():
-            stats = _simulate_cell(context, label, config, trace_dir, verbose)
-            result.add(context.name, label, stats)
+#: The pool worker's ``(contexts, trace_dir)``, installed by
+#: :func:`_init_worker`.
+_WORKER: Tuple = ()
 
 
-def _execute_pool(
-    run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
-) -> None:
-    """Fan the cells out over a process pool (repro.harness.parallel)."""
-    from repro.harness.parallel import run_simulations_parallel
-
-    stats_map = run_simulations_parallel(
-        run_contexts, configs, jobs=max(jobs, 2), verbose=verbose,
-        trace_dir=trace_dir,
-    )
-    timings.simulate_seconds += stats_map.worker_seconds
-    timings.simulations_run += stats_map.worker_runs
-    for context in run_contexts:
-        for label, config in configs.items():
-            result.add(context.name, label, stats_map[(context.name, label)])
+def _init_worker(payload: bytes, paranoid_flag: bool) -> None:
+    global _WORKER
+    _WORKER = pickle.loads(payload)
+    set_paranoid(paranoid_flag)
 
 
-def _execute_batch(
-    run_contexts, configs, *, jobs, verbose, trace_dir, result, timings
-) -> None:
-    """All cells through the vectorized lockstep engine in one group.
+def _worker_cell(task: Tuple[int, str, MachineConfig]):
+    index, label, config = task
+    contexts, trace_dir = _WORKER
+    return _fresh_cell(contexts[index], label, config, trace_dir)
 
-    Every config is run with ``engine="batch"`` (the engine is
-    bit-identical, and cells outside the vector envelope fall back to
-    the fast engine inside ``run_batch``).  Memoized / disk-cached cells
-    are served without simulating; traced cells cannot batch (the event
-    stream needs a live scalar simulator) and run serially instead.
-    """
+
+def _simulate_pool(
+    cells: List[_Cell], jobs: int, trace_dir
+) -> Iterable[Tuple[SimStats, float]]:
+    """The cells over a ``multiprocessing`` pool.
+
+    The parent resolves every artifact the cells read, so workers never
+    profile or select.  The contexts travel once per worker through the
+    pool initializer, with the paranoid flag, so the oracle and the
+    watchdog stay armed.  They travel pickled: every start method works,
+    one pickle writes a context that many cells share once, and the
+    cache handle stays behind, so only the parent touches the cache."""
+    import multiprocessing
+
+    for context, _, config, _ in cells:
+        context.prepare((config,))
+    contexts = [context for context, _, _, _ in cells]
+    payload = pickle.dumps((contexts, trace_dir), protocol=4)
+    tasks = [(i, cell[1], cell[2]) for i, cell in enumerate(cells)]
+    with multiprocessing.Pool(
+        processes=min(max(jobs, 2), len(tasks)),
+        initializer=_init_worker,
+        initargs=(payload, paranoid_enabled()),
+    ) as pool:
+        yield from pool.imap(_worker_cell, tasks)
+
+
+def _simulate_batch(
+    cells: List[_Cell], trace_dir, timings: SuiteTimings
+) -> List[Tuple[SimStats, float]]:
+    """The cells as one :func:`repro.uarch.batch.run_batch` group; each
+    is charged an equal share of the group's time.
+
+    Cells outside the vector envelope fall back to the fast engine
+    inside the group, counted by reason in ``timings``.  A traced cell
+    is one of them: it carries its tracer into the group, and the engine
+    refuses a tracer."""
     from repro.uarch.batch import BatchCell, run_batch
 
-    # Each label's batch config and memo key, derived once per suite run
-    # (neither depends on the benchmark).
-    plan: Dict[str, Tuple[MachineConfig, str]] = {}
-    for label, config in configs.items():
-        if config.engine != "batch":
-            config = config.replace(engine="batch")
-        plan[label] = (config, BenchmarkContext.sim_key(config))
-    cells: List = []
-    meta: List[Tuple[BenchmarkContext, str, str]] = []
-    for context in run_contexts:
-        for label, (effective, key) in plan.items():
-            if trace_dir is not None:
-                stats = _simulate_cell(
-                    context, label, effective, trace_dir, verbose
-                )
-                result.add(context.name, label, stats)
-                continue
-            stats = context.cached_stats(key)
-            if stats is not None:
-                result.add(context.name, label, stats)
-                continue
-            hints = context.hints_for(effective)
-            warm = context.workload.memory.warm_words()
-            cells.append(BatchCell(
-                context.program, context.trace, effective, hints=hints,
-                benchmark=context.name, warm_words=warm,
-            ))
-            meta.append((context, label, key))
-    if not cells:
-        return
-    fell_before = sum(timings.batch_fallbacks.values())
-    t0 = time.perf_counter()
-    stats_list = run_batch(cells, fallback_reasons=timings.batch_fallbacks)
-    per_cell = (time.perf_counter() - t0) / len(cells)
-    fell = sum(timings.batch_fallbacks.values()) - fell_before
-    timings.batch_vector_cells += len(cells) - fell
-    for (context, label, key), stats in zip(meta, stats_list):
-        context.stage_seconds["simulate"] += per_cell
-        context.sims_run += 1
-        context.store_stats(key, stats)
-        result.add(context.name, label, stats)
-        if verbose:
-            print(
-                f"  {context.name:8s} {label:24s} IPC={stats.ipc:.3f} "
-                f"flushes={stats.pipeline_flushes}"
+    tracers = [_cell_tracer(context, label, trace_dir)
+               for context, label, _, _ in cells]
+    try:
+        batch = [
+            BatchCell(
+                context.program, context.trace, config,
+                hints=context.hints_for(config), benchmark=context.name,
+                warm_words=context.workload.memory.warm_words(),
+                tracer=tracer,
             )
-
-
-#: Pluggable suite executors: how the (benchmark, config) cells of one
-#: suite run are simulated.  All three produce bit-identical results;
-#: tests/harness/test_parallel.py and tests/core/test_engine_batch.py
-#: hold them to it.
-SUITE_EXECUTORS = {
-    "serial": _execute_serial,
-    "pool": _execute_pool,
-    "batch": _execute_batch,
-}
-
-
-def _resolve_executor(
-    executor: Optional[str], configs: Dict[str, MachineConfig], jobs: int
-) -> str:
-    if executor is not None:
-        if executor not in SUITE_EXECUTORS:
-            raise ReproError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{sorted(SUITE_EXECUTORS)}"
-            )
-        return executor
-    if any(config.engine == "batch" for config in configs.values()):
-        return "batch"
-    return "pool" if jobs > 1 else "serial"
+            for (context, _, config, _), tracer in zip(cells, tracers)
+        ]
+        t0 = time.perf_counter()
+        stats = run_batch(batch, fallback_reasons=timings.batch_fallbacks)
+        share = (time.perf_counter() - t0) / len(batch)
+    finally:
+        for tracer in tracers:
+            if tracer is not None:
+                tracer.close()
+    timings.batch_vector_cells = len(batch) - sum(
+        timings.batch_fallbacks.values()
+    )
+    return [(cell_stats, share) for cell_stats in stats]
 
 
 def run_suite(
@@ -728,7 +705,6 @@ def run_suite(
     iterations: Optional[int] = None,
     seed: int = 0,
     contexts: Optional[Dict[str, BenchmarkContext]] = None,
-    verbose: bool = False,
     jobs: int = 1,
     cache: Union[None, str, ArtifactCache] = None,
     trace_dir: Optional[str] = None,
@@ -742,14 +718,17 @@ def run_suite(
     raises :class:`~repro.errors.ReproError` instead of silently
     returning stats for different parameters.
 
-    The cells are dispatched through a pluggable *executor*
-    (``SUITE_EXECUTORS``): ``"serial"`` simulates one cell at a time,
-    ``"pool"`` fans out over a process pool, and ``"batch"`` runs every
-    cell through the vectorized lockstep engine
-    (:mod:`repro.uarch.batch`) in one group.  When ``executor`` is not
-    given it is inferred: ``"batch"`` if any config selects
-    ``engine="batch"``, else ``"pool"`` when ``jobs > 1``, else
-    ``"serial"``.  All executors return bit-identical results.
+    A cell is a (benchmark, memo key) pair, so two labels with equal
+    configs make one cell and the later label counts as a memo hit.
+    Each cell comes from the memo, else the disk cache, else the
+    *executor*, which only simulates: ``"serial"`` in this process,
+    ``"pool"`` over a process pool of ``jobs`` workers, ``"batch"`` as
+    one group of the vectorized lockstep engine
+    (:mod:`repro.uarch.batch`), every config run as ``engine="batch"``.
+    When ``executor`` is not given it is inferred: ``"batch"`` if any
+    config selects ``engine="batch"``, else ``"pool"`` when
+    ``jobs > 1``, else ``"serial"``.  All executors return bit-identical
+    results.
 
     ``cache`` (an :class:`ArtifactCache` or directory path) persists
     artifacts and stats across invocations.
@@ -757,11 +736,26 @@ def run_suite(
     ``trace_dir`` (or the process-wide toggle set by
     :func:`repro.obs.runtime.set_trace_dir` — the CLI's ``--trace``
     flags) writes one JSONL event trace per ``(benchmark, config)``
-    cell into the directory; traced cells always simulate (never come
-    from memo or cache) and produce the same stats as untraced ones.
+    cell into the directory; traced cells always simulate, once per
+    label (never from memo or cache), and produce the same stats as
+    untraced ones.
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
+    if executor is None:
+        if any(config.engine == "batch" for config in configs.values()):
+            executor = "batch"
+        else:
+            executor = "pool" if jobs > 1 else "serial"
+    elif executor not in ("serial", "pool", "batch"):
+        raise ReproError(
+            f"unknown executor {executor!r}; expected serial, pool or batch"
+        )
+    if executor == "batch":
+        configs = {
+            label: config.replace(engine="batch")
+            for label, config in configs.items()
+        }
     if trace_dir is None:
         from repro.obs.runtime import active_trace_dir
 
@@ -790,11 +784,45 @@ def run_suite(
     before = [_context_snapshot(context) for context in run_contexts]
     timings = SuiteTimings(jobs=jobs)
 
-    execute = SUITE_EXECUTORS[_resolve_executor(executor, configs, jobs)]
-    execute(
-        run_contexts, configs, jobs=jobs, verbose=verbose,
-        trace_dir=trace_dir, result=result, timings=timings,
-    )
+    # Resolve every cell the memo or the disk cache already has (no
+    # artifacts are built for that); the rest go to the executor.
+    keys = {
+        label: BenchmarkContext.sim_key(config)
+        for label, config in configs.items()
+    }
+    cells: List[_Cell] = []
+    for context in run_contexts:
+        pending = set()
+        for label, config in configs.items():
+            key = keys[label]
+            if trace_dir is None:
+                if key in pending:
+                    context.sim_memo_hits += 1
+                    continue
+                if context.cached_stats(key) is not None:
+                    continue
+                pending.add(key)
+            cells.append((context, label, config, key))
+
+    if cells:
+        if executor == "batch":
+            fresh = _simulate_batch(cells, trace_dir, timings)
+        elif executor == "pool":
+            fresh = _simulate_pool(cells, jobs, trace_dir)
+        else:
+            fresh = (
+                _fresh_cell(context, label, config, trace_dir)
+                for context, label, config, _ in cells
+            )
+        # Recorded as each arrives, so a cell that raises keeps the
+        # results of the cells before it.
+        for (stats, seconds), (context, _, _, key) in zip(fresh, cells):
+            context._record(key, stats, seconds)
+
+    # Every cell's stats are in its context's memo now, traced ones too.
+    for context in run_contexts:
+        for label in configs:
+            result.add(context.name, label, context._sim_cache[keys[label]])
 
     _accumulate_deltas(timings, run_contexts, before)
     timings.wall_seconds = time.perf_counter() - wall_start

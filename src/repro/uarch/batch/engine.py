@@ -52,7 +52,10 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
+try:  # pragma: no cover - the no-numpy branch runs in a subprocess test
+    import numpy as np
+except Exception:  # pragma: no cover - every cell falls back
+    np = None
 
 from repro.branch.perceptron import PerceptronPredictor
 from repro.confidence import make_estimator
@@ -274,11 +277,18 @@ class BatchCell:
         self.tracer = tracer
 
 
+def batch_supported() -> bool:
+    """True when the vectorized path (numpy) is available."""
+    return np is not None
+
+
 def _config_reason(config, tracer) -> str:
     """Why the vector path cannot run a cell of this configuration, or
     ``""`` when it can (the program is checked separately)."""
     from repro.validation.runtime import paranoid_enabled
 
+    if np is None:
+        return "numpy is not importable"
     if tracer is not None:
         return "event tracer attached"
     if config.mode in ("dmp", "dhp"):

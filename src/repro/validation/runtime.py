@@ -7,8 +7,13 @@ a flag through every driver signature, :func:`repro.core.processors
 .simulate` consults this toggle and upgrades any config to
 ``oracle_checks=True, watchdog=True`` when it is set.
 
-The toggle only ever *adds* checking; it never changes timing results,
-so memoized simulation caches keyed on the original config stay valid.
+The toggle only ever *adds* checking; it never changes timing results.
+Memo and disk-cache entries are keyed on the configuration that
+actually runs (:meth:`repro.harness.experiment.BenchmarkContext
+.sim_key` fingerprints the hardened config), so a paranoid run never
+reuses a plain run's entry, nor a plain run a paranoid one's: over a
+cache a plain run warmed, a paranoid run simulates every cell again,
+under the oracle and the watchdog.
 """
 
 from __future__ import annotations

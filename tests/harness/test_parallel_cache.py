@@ -6,6 +6,12 @@ serial cold run; corrupted cache entries are detected, discarded and
 recomputed; and the harness keying/context-reuse bugfixes hold.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import ReproError
@@ -48,7 +54,7 @@ class TestParallelEqualsSerial:
         assert par.timings.jobs == 4
         assert par.timings.simulations_run == len(BENCHMARKS) * 2
 
-    def test_parallel_verbose_and_single_pending(self, serial_cold, capsys):
+    def test_parallel_single_pending(self, serial_cold):
         # Warm memo via shared contexts: only some cells go to the pool.
         contexts = {}
         run_suite(
@@ -63,12 +69,10 @@ class TestParallelEqualsSerial:
             iterations=SMALL,
             contexts=contexts,
             jobs=2,
-            verbose=True,
         )
         assert par == serial_cold
         assert par.timings.sim_memo_hits == len(BENCHMARKS)
         assert par.timings.simulations_run == len(BENCHMARKS)
-        assert "IPC=" in capsys.readouterr().out
 
     def test_oracle_checks_stay_armed_in_workers(self):
         with paranoid(True):
@@ -90,6 +94,98 @@ class TestParallelEqualsSerial:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ReproError):
             run_suite(small_configs(), ("gzip",), iterations=SMALL, jobs=0)
+
+    def test_cells_before_a_failing_cell_are_kept(self, monkeypatch):
+        """Fresh results are recorded as they arrive, so a cell that
+        raises keeps the cells simulated before it."""
+        from repro.harness import experiment
+
+        real = experiment.simulate
+
+        def failing(program, trace, config, **kwargs):
+            if config.mode == "dmp":
+                raise RuntimeError("injected")
+            return real(program, trace, config, **kwargs)
+
+        monkeypatch.setattr(experiment, "simulate", failing)
+        contexts = {}
+        with pytest.raises(RuntimeError, match="injected"):
+            run_suite(small_configs(), ("gzip",), iterations=SMALL,
+                      contexts=contexts)
+        assert contexts["gzip"].sims_run == 1
+        assert len(contexts["gzip"]._sim_cache) == 1
+
+    def test_pool_under_spawn_matches_serial(self):
+        """The pool ships its contexts through the initializer, so it
+        works under every start method, ``spawn`` included: there a
+        worker inherits nothing and imports everything afresh."""
+        script = textwrap.dedent("""
+            import multiprocessing
+
+            from repro.harness.experiment import run_suite
+            from repro.uarch.config import MachineConfig
+
+            multiprocessing.set_start_method("spawn")
+            configs = {
+                "base": MachineConfig.baseline(),
+                "dmp": MachineConfig.dmp(),
+            }
+            serial = run_suite(configs, ("parser",), iterations=60)
+            pool = run_suite(configs, ("parser",), iterations=60, jobs=2)
+            assert pool == serial
+            assert pool.timings.simulations_run == 2
+        """)
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def fig13_configs():
+    """Figure 13's 18 labels, as :func:`figures.fig13` builds them: its
+    ``window-256-*`` and ``depth-30-*`` points are the same three
+    machines, so 15 configurations are distinct."""
+    points = [("window", rob, dict(rob_size=rob)) for rob in (128, 256, 512)]
+    points += [
+        ("depth", depth, dict(rob_size=256, pipeline_depth=depth))
+        for depth in (10, 20, 30)
+    ]
+    configs = {}
+    for kind, value, overrides in points:
+        configs[f"{kind}-{value}-base"] = MachineConfig.baseline(**overrides)
+        configs[f"{kind}-{value}-dhp"] = MachineConfig.dhp(**overrides)
+        configs[f"{kind}-{value}-dmp"] = MachineConfig.dmp(
+            enhanced=True, **overrides
+        )
+    return configs
+
+
+class TestOneCellPerDistinctConfig:
+    """Two labels with equal configs are one cell: it simulates once per
+    benchmark, and the later label counts as a memo hit, on every
+    executor."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_suite(fig13_configs(), BENCHMARKS, iterations=60)
+
+    @pytest.mark.parametrize(
+        "executor, jobs", [("serial", 1), ("pool", 2), ("batch", 1)]
+    )
+    def test_fig13_simulates_each_distinct_config_once(
+        self, serial, executor, jobs
+    ):
+        configs = fig13_configs()
+        assert len(configs) == 18
+        result = run_suite(
+            configs, BENCHMARKS, iterations=60, jobs=jobs, executor=executor
+        )
+        assert result == serial
+        assert result.timings.simulations_run == 15 * len(BENCHMARKS)
+        assert result.timings.sim_memo_hits == 3 * len(BENCHMARKS)
 
 
 class TestPersistentCache:
@@ -271,9 +367,8 @@ class TestHarnessBugfixes:
 
 
 class TestMemoKeysComputedOnce:
-    """A memo key is a fingerprint of the configuration alone, so the
-    batch executor computes one per configuration per suite run and the
-    serial path one per cell."""
+    """A memo key is a fingerprint of the configuration alone, so a
+    suite run computes one per label, whatever the executor."""
 
     @pytest.fixture
     def fingerprinted(self, monkeypatch):
@@ -308,10 +403,10 @@ class TestMemoKeysComputedOnce:
         for context in contexts.values():
             assert set(context._sim_cache) == keys
 
-    def test_serial_simulate_once_per_cell(self, serial_cold, fingerprinted):
+    def test_serial_executor_once_per_config(self, serial_cold, fingerprinted):
         result = run_suite(small_configs(), BENCHMARKS, iterations=SMALL)
         assert result == serial_cold
-        assert len(fingerprinted) == len(BENCHMARKS) * len(small_configs())
+        assert len(fingerprinted) == len(small_configs())
 
 
 class TestSuiteResultEquality:

@@ -93,6 +93,26 @@ class TestTracedSuite:
             assert a.exit_cases == b.exit_cases
             assert a.stats == b.stats
 
+    def test_batch_traced_suite_counts_its_fallbacks(self, tmp_path):
+        """A traced cell carries its tracer into the batch group, which
+        runs it on the fast engine and says so in the fallback count."""
+        trace_dir = str(tmp_path / "batch")
+        plain = run_suite(CONFIGS, benchmarks=("gzip",),
+                          iterations=ITERATIONS, executor="batch")
+        traced = run_suite(CONFIGS, benchmarks=("gzip",),
+                           iterations=ITERATIONS, executor="batch",
+                           trace_dir=trace_dir)
+        assert traced == plain
+        assert traced.timings.batch_fallbacks == {"event tracer attached": 2}
+        assert traced.timings.batch_vector_cells == 0
+        summaries = reconcile_directory(trace_dir)
+        assert {(s.benchmark, s.config) for s in summaries} == {
+            ("gzip", "base"), ("gzip", "dmp"),
+        }
+        for summary in summaries:
+            stats = traced.stats(summary.benchmark, summary.config)
+            assert _dejson(summary.stats) == dataclasses.asdict(stats)
+
     def test_runtime_toggle_reaches_run_suite(self, tmp_path):
         trace_dir = str(tmp_path / "toggled")
         with tracing(trace_dir):
