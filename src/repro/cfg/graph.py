@@ -25,7 +25,8 @@ class BasicBlock:
     """
 
     __slots__ = ("name", "instructions", "fallthrough", "_preds",
-                 "_plan", "_mem_profile", "_exec")
+                 "terminator", "ends_in_branch", "ends_in_halt", "first_pc",
+                 "load_count", "store_count", "_plan", "_exec")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -33,20 +34,41 @@ class BasicBlock:
         #: Name of the textually-next block, or ``None`` for exit blocks.
         self.fallthrough: Optional[str] = None
         self._preds: Tuple[str, ...] = ()
+        #: Static facts, set by :meth:`_derive` when the CFG is sealed:
+        #: the control-flow instruction ending the block (if any), whether
+        #: it ends in a ``BR`` or a ``HALT``, the PC of its first
+        #: instruction (``None`` until the program assigns PCs) and its
+        #: load and store counts.
+        self.terminator: Optional[Instruction] = None
+        self.ends_in_branch = False
+        self.ends_in_halt = False
+        self.first_pc: Optional[int] = None
+        self.load_count = 0
+        self.store_count = 0
         #: Derived caches (never pickled): the fast engine's decoded
-        #: :class:`~repro.uarch.plan.BlockPlan`, the (loads, stores)
-        #: count pair used by :meth:`repro.program.trace.Trace.append`,
-        #: and the interpreter's compiled datapath function
+        #: :class:`~repro.uarch.plan.BlockPlan` and the interpreter's
+        #: compiled datapath function
         #: (:func:`repro.program.interpreter.compile_block`).
         self._plan = None
-        self._mem_profile: Optional[Tuple[int, int]] = None
         self._exec = None
+
+    def _derive(self) -> None:
+        """Set the static-fact slots from the instructions."""
+        instructions = self.instructions
+        last = instructions[-1] if instructions else None
+        self.terminator = last if last is not None and last.is_control else None
+        self.ends_in_branch = last is not None and last.is_cond_branch
+        self.ends_in_halt = last is not None and last.opcode == Opcode.HALT
+        self.first_pc = instructions[0].pc if instructions else None
+        self.load_count = sum(instr.is_load for instr in instructions)
+        self.store_count = sum(instr.is_store for instr in instructions)
 
     # -- pickling ----------------------------------------------------------
     # Derived caches are excluded: a plan holds references into one
     # program's CFG and must never leak through a pickled trace, and a
-    # compiled function cannot be pickled at all.  The legacy slot-tuple
-    # state produced before these caches existed is still accepted.
+    # compiled function cannot be pickled at all.  The static facts are
+    # derived again on load.  The legacy slot-tuple state produced before
+    # these caches existed is still accepted.
 
     def __getstate__(self):
         return {
@@ -64,22 +86,10 @@ class BasicBlock:
         self.fallthrough = state["fallthrough"]
         self._preds = state.get("_preds", ())
         self._plan = None
-        self._mem_profile = None
         self._exec = None
+        self._derive()
 
     # -- structure queries -------------------------------------------------
-
-    @property
-    def terminator(self) -> Optional[Instruction]:
-        """The control-flow instruction ending this block, if any."""
-        if self.instructions and self.instructions[-1].is_control:
-            return self.instructions[-1]
-        return None
-
-    @property
-    def ends_in_branch(self) -> bool:
-        term = self.terminator
-        return term is not None and term.opcode == Opcode.BR
 
     @property
     def ends_in_call(self) -> bool:
@@ -90,10 +100,6 @@ class BasicBlock:
     def ends_in_return(self) -> bool:
         term = self.terminator
         return term is not None and term.opcode == Opcode.RET
-
-    @property
-    def ends_in_halt(self) -> bool:
-        return bool(self.instructions) and self.instructions[-1].opcode == Opcode.HALT
 
     def successors(self) -> Tuple[str, ...]:
         """Intra-function successor block names (taken target first)."""
@@ -116,33 +122,6 @@ class BasicBlock:
     @property
     def predecessors(self) -> Tuple[str, ...]:
         return self._preds
-
-    def mem_profile(self) -> Tuple[int, int]:
-        """``(load_count, store_count)``, computed once per block."""
-        profile = self._mem_profile
-        if profile is None:
-            loads = stores = 0
-            for instr in self.instructions:
-                if instr.opcode == Opcode.LOAD:
-                    loads += 1
-                elif instr.opcode == Opcode.STORE:
-                    stores += 1
-            profile = self._mem_profile = (loads, stores)
-        return profile
-
-    @property
-    def load_count(self) -> int:
-        return self.mem_profile()[0]
-
-    @property
-    def store_count(self) -> int:
-        return self.mem_profile()[1]
-
-    @property
-    def first_pc(self) -> int:
-        if not self.instructions or self.instructions[0].pc is None:
-            raise RuntimeError(f"block {self.name!r} has no sealed PC")
-        return self.instructions[0].pc
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -179,6 +158,7 @@ class ControlFlowGraph:
             return
         order = list(self._blocks.values())
         for i, block in enumerate(order):
+            block._derive()
             needs_fallthrough = not (
                 block.ends_in_halt
                 or block.ends_in_return

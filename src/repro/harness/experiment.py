@@ -305,8 +305,10 @@ class BenchmarkContext:
     def prepare(self, configs: Iterable[MachineConfig] = ()) -> None:
         """Materialize every machine-independent artifact the given
         configurations will need (used before fanning simulations out to
-        worker processes, so workers never duplicate profiling work)."""
-        _ = self.workload, self.trace, self.profile
+        worker processes, so workers never duplicate profiling work).
+        Only hint tables profile, so hint-free configurations leave the
+        profile unbuilt, as a serial run does."""
+        _ = self.workload, self.trace
         for config in configs:
             self.hints_for(config)
 

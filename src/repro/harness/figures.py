@@ -507,7 +507,6 @@ def fig13(
     iterations=None,
     windows=(128, 256, 512),
     depths=(10, 20, 30),
-    sweep_rob=512,
     jobs=1,
     cache=None,
     engine="",

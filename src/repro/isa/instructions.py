@@ -101,7 +101,12 @@ class Instruction:
         and ``JMP``, or the callee function name for ``CALL``.
     """
 
-    __slots__ = ("opcode", "dest", "srcs", "imm", "cond", "target", "pc")
+    __slots__ = (
+        "opcode", "dest", "srcs", "imm", "cond", "target", "pc",
+        # Static facts derived from the fields above by _derive().
+        "is_control", "is_cond_branch", "is_load", "is_store", "is_fp",
+        "writes_register", "latency",
+    )
 
     def __init__(
         self,
@@ -120,6 +125,7 @@ class Instruction:
         self.target = target
         self.pc: Optional[int] = None  # assigned at Program.seal()
         self._validate()
+        self._derive()
 
     def _validate(self) -> None:
         op = self.opcode
@@ -140,36 +146,31 @@ class Instruction:
             if len(self.srcs) != 2:
                 raise ValueError("STORE needs (value, address) registers")
 
-    # -- classification helpers ------------------------------------------
+    def _derive(self) -> None:
+        """Set the classification slots the timing model reads on every
+        dynamic instance; ``latency`` is 0 for loads, which defer to the
+        caches."""
+        op = self.opcode
+        self.is_control = op in _CONTROL
+        self.is_cond_branch = op == Opcode.BR
+        self.is_load = op == Opcode.LOAD
+        self.is_store = op == Opcode.STORE
+        self.is_fp = op in _FP
+        self.writes_register = self.dest is not None
+        self.latency = EXECUTION_LATENCY.get(op, _DEFAULT_LATENCY)
 
-    @property
-    def is_control(self) -> bool:
-        return self.opcode in _CONTROL
+    # -- pickling ----------------------------------------------------------
+    # Only the seven fields travel; the derived slots are rebuilt on load,
+    # which keeps cached traces as small as before the slots existed.
 
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.opcode == Opcode.BR
+    def __getstate__(self):
+        return (self.opcode, self.dest, self.srcs, self.imm, self.cond,
+                self.target, self.pc)
 
-    @property
-    def is_load(self) -> bool:
-        return self.opcode == Opcode.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.opcode == Opcode.STORE
-
-    @property
-    def is_fp(self) -> bool:
-        return self.opcode in _FP
-
-    @property
-    def writes_register(self) -> bool:
-        return self.dest is not None
-
-    @property
-    def latency(self) -> int:
-        """Fixed execution latency; loads report 0 and defer to the caches."""
-        return EXECUTION_LATENCY.get(self.opcode, _DEFAULT_LATENCY)
+    def __setstate__(self, state) -> None:
+        (self.opcode, self.dest, self.srcs, self.imm, self.cond,
+         self.target, self.pc) = state
+        self._derive()
 
     def __repr__(self) -> str:
         parts = [self.opcode.name.lower()]

@@ -217,8 +217,7 @@ class _Node:
         self.kind = _STEP
         self.taken: Optional[_Node] = None
         self.next: Optional[_Node] = None
-        loads, stores = block.mem_profile()
-        if loads or stores:
+        if block.load_count or block.store_count:
             self.records = None
         else:
             outcomes = (True, False) if block.ends_in_branch else (None,)

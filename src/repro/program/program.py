@@ -44,6 +44,7 @@ class Program:
         for cfg in self._functions.values():
             cfg.seal()
             for block in cfg:
+                block.first_pc = pc if block.instructions else None
                 for index, instr in enumerate(block.instructions):
                     instr.pc = pc
                     self._block_of_pc[pc] = (cfg.name, block, index)

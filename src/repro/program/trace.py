@@ -79,11 +79,10 @@ class Trace:
             self.branch_count += 1
             if record.taken:
                 self.taken_count += 1
-        # Counters, not an O(block length) scan: the block computes its
-        # (loads, stores) pair once and every dynamic append reuses it.
-        loads, stores = block.mem_profile()
-        self.load_count += loads
-        self.store_count += stores
+        # Counters, not an O(block length) scan: the block counts its
+        # loads and stores once and every dynamic append reuses them.
+        self.load_count += block.load_count
+        self.store_count += block.store_count
 
     @classmethod
     def from_records(
@@ -98,10 +97,9 @@ class Trace:
         trace.branch_count = len(records) - outcomes[None]
         trace.taken_count = outcomes[True]
         for block, count in Counter(map(_BLOCK, records)).items():
-            loads, stores = block.mem_profile()
             trace.instruction_count += count * len(block.instructions)
-            trace.load_count += count * loads
-            trace.store_count += count * stores
+            trace.load_count += count * block.load_count
+            trace.store_count += count * block.store_count
         return trace
 
     def __len__(self) -> int:

@@ -101,10 +101,16 @@ class ProgramArena:
         analysis = ProgramAnalysis.of(program)
         plans = []
         self.gid: Dict[Tuple[str, str], int] = {}
+        #: Load/store counts of the program's own blocks (the macro
+        #: builder renumbers ordinals with them).
+        self.LOADS: List[int] = []
+        self.STORES: List[int] = []
         for cfg in program.functions():
             for block in cfg:
                 self.gid[(cfg.name, block.name)] = len(plans)
                 plans.append(analysis.block_plan(block, cfg.name))
+                self.LOADS.append(block.load_count)
+                self.STORES.append(block.store_count)
         self.reason = ""
         #: Widest raw block and widest source list (at least 1).
         self.L = max((p.n for p in plans), default=0)
@@ -113,10 +119,6 @@ class ProgramArena:
         ) or 1
         self.ROWS: List[Tuple[Tuple, ...]] = [p.timing_rows for p in plans]
         self.NROWS: List[int] = [p.n for p in plans]
-        #: Load/store counts of the program's own blocks (the macro
-        #: builder renumbers ordinals with them).
-        self.LOADS: List[int] = [p.load_count for p in plans]
-        self.STORES: List[int] = [p.store_count for p in plans]
         self.FPC: List[int] = [
             NO_PC if p.first_pc is None else p.first_pc for p in plans
         ]

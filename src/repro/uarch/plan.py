@@ -1,9 +1,9 @@
 """Pre-decoded block execution plans for the hot-path engine.
 
-The timing model executes every *dynamic* instance of a basic block by
-re-reading the same *static* facts about its instructions — opcode
-class, source/destination registers, latency, whether it is a
-conditional branch — through Python property calls, for hundreds of
+The reference timing model executes every *dynamic* instance of a basic
+block by re-reading the same *static* facts about its instructions —
+opcode class, source/destination registers, latency, whether it is a
+conditional branch — one attribute at a time, for hundreds of
 thousands of dynamic blocks.  A :class:`BlockPlan` decodes each static
 block **once** into flat parallel tuples that the fast fetch/execute/
 retire loops (``engine="fast"``, the default) iterate directly, with
@@ -74,8 +74,6 @@ class BlockPlan:
         "body_rows",
         "timing_rows",
         "cond_flags",
-        "load_count",
-        "store_count",
         "term_kind",
         "term_pc",
         "taken_block",
@@ -99,8 +97,6 @@ class BlockPlan:
         self.body_rows: Tuple[Tuple, ...] = ()
         self.timing_rows: Tuple[Tuple, ...] = ()
         self.cond_flags: Tuple[bool, ...] = ()
-        self.load_count = 0
-        self.store_count = 0
         self.term_kind = TERM_NONE
         self.term_pc: Optional[int] = None
         self.taken_block = None
@@ -134,8 +130,7 @@ def build_block_plan(program, function: str, block) -> BlockPlan:
     plan = BlockPlan(function, auth.name)
     instructions = auth.instructions
     plan.n = len(instructions)
-    if instructions:
-        plan.first_pc = auth.first_pc
+    plan.first_pc = auth.first_pc
 
     rows = []
     timing = []
@@ -173,8 +168,6 @@ def build_block_plan(program, function: str, block) -> BlockPlan:
     plan.body_rows = plan.rows[:-1]
     plan.timing_rows = tuple(timing)
     plan.cond_flags = tuple(row[0] for row in rows)
-    plan.load_count = loads
-    plan.store_count = stores
 
     term = auth.terminator
     fallthrough = auth.fallthrough

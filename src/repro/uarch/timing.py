@@ -848,8 +848,7 @@ class TimingSimulator:
         pcs = self._trace_pcs
         if pcs is None:
             pcs = self._trace_pcs = tuple(
-                record.block.instructions[0].pc
-                for record in self.trace.records
+                record.block.first_pc for record in self.trace.records
             )
         stop = min(len(pcs), cursor.index + 1 + self._CI_LOOKAHEAD_BLOCKS)
         return frozenset(pcs[cursor.index + 1: stop])

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cfg.builder import CFGBuilder
 from repro.cfg.graph import BasicBlock, ControlFlowGraph
-from repro.isa.instructions import Condition
+from repro.isa.instructions import Condition, Instruction, Opcode
+from repro.program.program import Program
 
 
 def diamond_cfg():
@@ -97,6 +98,22 @@ class TestQueries:
         branches = list(cfg.conditional_branches())
         assert len(branches) == 1
         assert branches[0][0] == "A"
+
+    def test_first_pc_is_none_until_the_program_assigns_pcs(self):
+        unsealed = BasicBlock("E")
+        unsealed.instructions.append(Instruction(Opcode.HALT))
+        unsealed.instructions[0].pc = 0x1000
+        assert unsealed.first_pc is None
+        b = CFGBuilder("main")
+        b.block("A").movi(1, 1).br(Condition.EQ, 1, imm=0, taken="A")
+        b.block("B").halt()
+        cfg = b.build()
+        assert cfg.block("A").first_pc is None  # sealed, no PCs yet
+        program = Program("p")
+        program.add_function(cfg)
+        program.seal()
+        assert cfg.block("A").first_pc == 0x1000
+        assert cfg.block("B").first_pc == 0x1008
 
     def test_entry_is_first_block(self):
         cfg = diamond_cfg()

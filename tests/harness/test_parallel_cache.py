@@ -91,6 +91,19 @@ class TestParallelEqualsSerial:
         assert par == serial
         assert par.stats("parser", "loop").loop_iteration_saves > 0
 
+    def test_pool_does_not_profile_hint_free_suites(self):
+        """Only hint tables read the profile, so the pool's parent builds
+        none for hint-free configs, as a serial run does."""
+        configs = {
+            "base": MachineConfig.baseline(),
+            "dualpath": MachineConfig.dualpath(),
+        }
+        serial = run_suite(configs, ("eon", "gzip"), iterations=60)
+        par = run_suite(configs, ("eon", "gzip"), iterations=60, jobs=2)
+        assert serial.timings.profile_seconds == 0.0
+        assert par.timings.profile_seconds == 0.0
+        assert par == serial
+
     def test_bad_jobs_rejected(self):
         with pytest.raises(ReproError):
             run_suite(small_configs(), ("gzip",), iterations=SMALL, jobs=0)

@@ -1,5 +1,7 @@
 """Unit tests for the mini-ISA instruction definitions."""
 
+import pickle
+
 import pytest
 
 from repro.isa.instructions import (
@@ -8,6 +10,24 @@ from repro.isa.instructions import (
     Opcode,
     evaluate_condition,
 )
+
+
+def one_of_each():
+    """One valid instruction of every opcode; each one that may write a
+    register does."""
+    for op in Opcode:
+        if op == Opcode.BR:
+            yield Instruction(op, srcs=(1, 2), cond=Condition.LT, target="B")
+        elif op in (Opcode.JMP, Opcode.CALL):
+            yield Instruction(op, target="B")
+        elif op == Opcode.STORE:
+            yield Instruction(op, srcs=(1, 2), imm=8)
+        elif op in (Opcode.RET, Opcode.NOP, Opcode.HALT):
+            yield Instruction(op)
+        elif op == Opcode.LOAD:
+            yield Instruction(op, dest=1, srcs=(2,), imm=8)
+        else:
+            yield Instruction(op, dest=1, srcs=(2, 3), imm=5)
 
 
 class TestInstructionValidation:
@@ -47,30 +67,62 @@ class TestInstructionValidation:
 
 
 class TestInstructionClassification:
+    def test_one_of_each_covers_every_opcode(self):
+        assert [instr.opcode for instr in one_of_each()] == list(Opcode)
+
     def test_control_flags(self):
-        br = Instruction(Opcode.BR, srcs=(1,), cond=Condition.NE, target="B")
-        assert br.is_control
-        assert br.is_cond_branch
-        jmp = Instruction(Opcode.JMP, target="B")
-        assert jmp.is_control
-        assert not jmp.is_cond_branch
-        add = Instruction(Opcode.ADD, dest=1, srcs=(2, 3))
-        assert not add.is_control
+        control = {Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET}
+        for instr in one_of_each():
+            assert instr.is_control == (instr.opcode in control)
+            assert instr.is_cond_branch == (instr.opcode == Opcode.BR)
+
+    def test_memory_flags(self):
+        for instr in one_of_each():
+            assert instr.is_load == (instr.opcode == Opcode.LOAD)
+            assert instr.is_store == (instr.opcode == Opcode.STORE)
 
     def test_fp_classification(self):
-        assert Instruction(Opcode.FMUL, dest=1, srcs=(2, 3)).is_fp
-        assert not Instruction(Opcode.MUL, dest=1, srcs=(2, 3)).is_fp
+        fp = {Opcode.FADD, Opcode.FMUL, Opcode.FDIV}
+        for instr in one_of_each():
+            assert instr.is_fp == (instr.opcode in fp)
 
     def test_writes_register(self):
+        no_dest = {
+            Opcode.STORE, Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET,
+            Opcode.NOP, Opcode.HALT,
+        }
+        for instr in one_of_each():
+            assert instr.writes_register == (instr.opcode not in no_dest)
         assert Instruction(Opcode.MOVI, dest=4, imm=1).writes_register
-        assert not Instruction(Opcode.STORE, srcs=(1, 2)).writes_register
+        assert not Instruction(Opcode.MOVI, imm=1).writes_register
 
     def test_latencies(self):
-        assert Instruction(Opcode.ADD, dest=1, srcs=(2, 3)).latency == 1
-        assert Instruction(Opcode.MUL, dest=1, srcs=(2, 3)).latency == 3
-        assert Instruction(Opcode.FDIV, dest=1, srcs=(2, 3)).latency == 12
-        # loads defer to the cache hierarchy
-        assert Instruction(Opcode.LOAD, dest=1, srcs=(2,)).latency == 0
+        # Loads report 0: they defer to the cache hierarchy.
+        expected = {
+            Opcode.MUL: 3, Opcode.FADD: 4, Opcode.FMUL: 4, Opcode.FDIV: 12,
+            Opcode.LOAD: 0,
+        }
+        for instr in one_of_each():
+            assert instr.latency == expected.get(instr.opcode, 1)
+
+
+class TestInstructionPickling:
+    def test_state_is_the_seven_fields(self):
+        instr = Instruction(
+            Opcode.BR, srcs=(1, 2), imm=5, cond=Condition.LT, target="B"
+        )
+        instr.pc = 0x1004
+        assert instr.__getstate__() == (
+            Opcode.BR, None, (1, 2), 5, Condition.LT, "B", 0x1004
+        )
+
+    def test_round_trip_rederives_every_fact(self):
+        for pc, instr in enumerate(one_of_each()):
+            instr.pc = 0x1000 + 4 * pc
+            copy = pickle.loads(pickle.dumps(instr, protocol=4))
+            assert copy is not instr
+            for name in Instruction.__slots__:
+                assert getattr(copy, name) == getattr(instr, name), name
 
 
 class TestConditionEvaluation:

@@ -1,6 +1,11 @@
-"""Block execution plans: the decoded tables must mirror the block."""
+"""Block execution plans: the decoded tables must mirror the block, and
+the block's static-fact slots must mirror its instructions."""
+
+import pytest
 
 from repro.cfg.analysis import ProgramAnalysis
+from repro.fuzz import build_fuzz_workload, draw_spec
+from repro.harness.cache import ArtifactCache
 from repro.isa.instructions import Opcode
 from repro.uarch.plan import (
     KIND_ALU,
@@ -14,7 +19,7 @@ from repro.uarch.plan import (
     build_block_plan,
     BlockPlan,
 )
-from repro.workloads.suite import build_benchmark
+from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
 
 
 def _program():
@@ -54,11 +59,6 @@ class TestRowLayout:
                     assert kind == KIND_STORE
                 else:
                     assert kind == KIND_ALU
-
-    def test_memory_counts_match_mem_profile(self):
-        program = _program()
-        for _function, _cfg, block, plan in _plans(program):
-            assert (plan.load_count, plan.store_count) == block.mem_profile()
 
 
 class TestTerminators:
@@ -133,3 +133,58 @@ class TestSharing:
         ProgramAnalysis.reset(program)
         assert block._plan is None
         assert ProgramAnalysis.of(program) is not analysis
+
+
+def _derived_facts(block):
+    """The block's six static facts, derived from its instructions."""
+    instructions = block.instructions
+    last = instructions[-1] if instructions else None
+    control = (Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET)
+    return (
+        last if last is not None and last.opcode in control else None,
+        last is not None and last.opcode == Opcode.BR,
+        last is not None and last.opcode == Opcode.HALT,
+        instructions[0].pc if instructions else None,
+        sum(instr.opcode == Opcode.LOAD for instr in instructions),
+        sum(instr.opcode == Opcode.STORE for instr in instructions),
+    )
+
+
+def _slot_facts(block):
+    return (
+        block.terminator,
+        block.ends_in_branch,
+        block.ends_in_halt,
+        block.first_pc,
+        block.load_count,
+        block.store_count,
+    )
+
+
+class TestBlockFactSlots:
+    """``BasicBlock`` keeps its static facts in slots set at seal time and
+    on unpickling; each must equal what its instructions say."""
+
+    @pytest.mark.parametrize("source", [*BENCHMARK_NAMES, *range(10)])
+    def test_program_and_cached_trace_blocks(self, source, tmp_path):
+        if isinstance(source, str):
+            workload = build_benchmark(source, 8, 0)
+        else:
+            workload = build_fuzz_workload(draw_spec(source))
+        program = workload.program
+        for cfg in program.functions():
+            for block in cfg:
+                assert block.first_pc is not None
+                assert _slot_facts(block) == _derived_facts(block)
+        cache = ArtifactCache(tmp_path)
+        cache.store_pickle("trace", "t", workload.run())
+        copies = {
+            id(record.block): (record.function, record.block)
+            for record in cache.load_pickle("trace", "t")
+        }
+        assert copies
+        for function, block in copies.values():
+            own = program.function(function).block(block.name)
+            assert block is not own
+            assert _slot_facts(block) == _derived_facts(block)
+            assert block.first_pc == own.first_pc
