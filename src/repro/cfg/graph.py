@@ -67,8 +67,8 @@ class BasicBlock:
     # Derived caches are excluded: a plan holds references into one
     # program's CFG and must never leak through a pickled trace, and a
     # compiled function cannot be pickled at all.  The static facts are
-    # derived again on load.  The legacy slot-tuple state produced before
-    # these caches existed is still accepted.
+    # derived again on load.  Every artifact-cache key folds in the code
+    # digest, so only pickles of this exact layout are ever loaded.
 
     def __getstate__(self):
         return {
@@ -79,12 +79,10 @@ class BasicBlock:
         }
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):  # legacy (dict_state, slots_dict) form
-            state = state[1] or {}
         self.name = state["name"]
         self.instructions = state["instructions"]
         self.fallthrough = state["fallthrough"]
-        self._preds = state.get("_preds", ())
+        self._preds = state["_preds"]
         self._plan = None
         self._exec = None
         self._derive()

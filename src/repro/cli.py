@@ -118,15 +118,16 @@ def _add_trace_flags(parser) -> None:
                         help="trace into DIR instead (implies --trace)")
 
 
-#: ``--engine`` help for ``suite`` and ``figure``; the crossover is
+#: ``--engine`` help for ``suite`` and ``figure``; the crossovers are
 #: measured in docs/performance.md ("Why the batch engine runs no
-#: generated code").
+#: generated code" and "The compiled lane").
 _ENGINE_HELP = (
-    "simulation engine override (results are bit-identical); 'batch' "
-    "runs every cell through the vectorized lockstep engine, which pays "
-    "off only when many configurations share each trace: measured "
-    "slower than 'fast' with 4 or fewer configurations per benchmark, "
-    "faster with 8 or more (docs/performance.md)"
+    "simulation engine override (results are bit-identical); 'fast' "
+    "runs baseline and dual-path cells on the compiled C lane when a C "
+    "compiler is present, about 2x faster per cell than 'batch' even "
+    "on a 32-configuration sweep; 'batch' runs every cell through the "
+    "vectorized lockstep engine, which pays off only for dmp/dhp cells "
+    "with 8 or more configurations per benchmark (docs/performance.md)"
 )
 
 

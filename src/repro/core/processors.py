@@ -20,6 +20,7 @@ from repro.core.dpred import PredicationAwareSimulator
 from repro.isa.encoding import HintTable
 from repro.program.program import Program
 from repro.program.trace import Trace
+from repro.uarch import lane
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 from repro.uarch.timing import TimingSimulator
@@ -39,6 +40,9 @@ def simulate(
 
     Dispatches on ``config.mode``: predicating modes get the
     :class:`PredicationAwareSimulator`, everything else the base model.
+    With ``engine="fast"`` (the default), baseline and dual-path cells
+    inside :mod:`repro.uarch.lane`'s envelope run on the compiled lane
+    instead, with the same stats.
 
     Under process-wide paranoid mode (the CLI's ``--paranoid`` flag, or
     :func:`repro.validation.runtime.set_paranoid`) every run is upgraded
@@ -66,6 +70,16 @@ def simulate(
                 benchmark=benchmark, warm_words=warm_words, tracer=tracer,
             )
         ])[0]
+    if config.engine == "fast":
+        # Baseline and dual-path cells inside the compiled lane's
+        # envelope run in C; every other cell, and every cell on a host
+        # without a C compiler, runs the Python fast engine below.
+        stats = lane.run(
+            program, trace, config, benchmark=benchmark,
+            warm_words=warm_words, tracer=tracer,
+        )
+        if stats is not None:
+            return stats
     if config.mode == "mpp":
         # Hint-free DMP: the simulator builds its own learned hint table
         # (repro.core.mergepoint); a compiler table here would be a

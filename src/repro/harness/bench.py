@@ -104,7 +104,9 @@ DMP_BATCH_CONFIGS = ("dmp", "dualpath", "base")
 #: self times that add up to the run: each phase is the named calls
 #: (the predictor's or estimator's methods, the trace-row fetch, the
 #: wrong-path walk, ``_maybe_enter_dpred``) minus phases nested in them;
-#: ``construct`` is ``simulate`` outside ``run``, ``other`` the rest.
+#: ``compiled`` is the compiled lane's C loop, ``construct`` is
+#: ``simulate`` outside ``run`` and that loop (so a lane cell splits into
+#: its table build and its C loop), ``other`` the rest.
 SCALAR_PHASES = {
     "predictor": ("predict", "train", "spec_update", "snapshot",
                   "restore", "repair", "set_oracle"),
@@ -165,11 +167,15 @@ def _profile_scalar_cell(context: BenchmarkContext,
 
     The timing wrappers exist only for this run: ``TimingSimulator.run``
     is swapped for one that wraps the new simulator's own attributes,
-    and is put back afterwards.  The wrappers' own cost lands mostly in
+    and the compiled lane's C call for a timed one; both are put back
+    afterwards.  The wrappers' own cost lands mostly in
     the phase they wrap, so the many-call phases read a little high."""
+    from repro.uarch import lane
     from repro.uarch.timing import TimingSimulator
 
-    seconds = dict.fromkeys(("construct", *SCALAR_PHASES, "other"), 0.0)
+    seconds = dict.fromkeys(
+        ("construct", *SCALAR_PHASES, "compiled", "other"), 0.0
+    )
     covered: List[float] = []  # per open call: time of nested calls
 
     def timed(phase, call):
@@ -196,7 +202,9 @@ def _profile_scalar_cell(context: BenchmarkContext,
                     setattr(owner, name, timed(phase, getattr(owner, name)))
         return timed("other", original_run)(sim)
 
+    original_execute = lane._execute
     TimingSimulator.run = run
+    lane._execute = timed("compiled", original_execute)
     try:
         t0 = time.perf_counter()
         simulate(context.program, context.trace, config,
@@ -205,8 +213,13 @@ def _profile_scalar_cell(context: BenchmarkContext,
         wall = time.perf_counter() - t0
     finally:
         TimingSimulator.run = original_run
+        lane._execute = original_execute
     seconds["construct"] = wall - sum(seconds.values())
-    return {k: round(v, 4) for k, v in seconds.items()}
+    # Only a cell that ran on the compiled lane carries that phase.
+    return {
+        k: round(v, 4) for k, v in seconds.items()
+        if k != "compiled" or v
+    }
 
 
 def _batch_grid(

@@ -50,6 +50,7 @@ from repro.profiling.profiler import (
     collect_reconvergence,
     profile_trace,
 )
+from repro.uarch import lane
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 from repro.validation.hints import check_hint_table
@@ -451,6 +452,16 @@ def figure9_configs() -> Dict[str, MachineConfig]:
     }
 
 
+def _reason_lines(tally: Dict[str, int]) -> List[str]:
+    """One report line per fallback reason, the most frequent first."""
+    return [
+        f"    {count:4d}  {reason}"
+        for reason, count in sorted(
+            tally.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+    ]
+
+
 @dataclasses.dataclass
 class SuiteTimings:
     """Per-stage wall-clock + cache accounting for one suite run, so
@@ -480,6 +491,13 @@ class SuiteTimings:
     batch_fallbacks: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
+    #: Fresh fast-engine cells the compiled lane ran, whatever the
+    #: executor, and the fresh fast-engine cells it did not run, grouped
+    #: by the :func:`repro.uarch.lane.reason` string.
+    lane_cells: int = 0
+    lane_fallbacks: Dict[str, int] = dataclasses.field(
+        default_factory=dict
+    )
     cache: Optional[CacheCounters] = None
 
     def report(self) -> str:
@@ -500,10 +518,14 @@ class SuiteTimings:
                 f"  batch: {self.batch_vector_cells} cell(s) on the "
                 f"vector path, {fell} fast-engine fallback(s)"
             )
-            for reason, count in sorted(
-                self.batch_fallbacks.items(), key=lambda kv: (-kv[1], kv[0])
-            ):
-                lines.append(f"    {count:4d}  {reason}")
+            lines.extend(_reason_lines(self.batch_fallbacks))
+        fell = sum(self.lane_fallbacks.values())
+        if self.lane_cells or fell:
+            lines.append(
+                f"  compiled lane: {self.lane_cells} cell(s), {fell} "
+                f"fast-engine cell(s) on Python"
+            )
+            lines.extend(_reason_lines(self.lane_fallbacks))
         if self.cache is not None:
             lines.append("  " + self.cache.summary().replace("\n", "\n  "))
         return "\n".join(lines)
@@ -701,6 +723,19 @@ def _simulate_batch(
     return [(cell_stats, share) for cell_stats in stats]
 
 
+def _tally_lane(timings: SuiteTimings, config: MachineConfig,
+                context: BenchmarkContext, traced: bool) -> None:
+    """Count one fresh fast-engine cell as run by the compiled lane or
+    by the Python engine.  The reason depends only on the config, the
+    program and the host, so it holds for cells a pool worker ran."""
+    reason = lane.reason(config, context.program, traced)
+    if reason:
+        fallbacks = timings.lane_fallbacks
+        fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    else:
+        timings.lane_cells += 1
+
+
 def run_suite(
     configs: Dict[str, MachineConfig],
     benchmarks: Iterable[str] = BENCHMARK_NAMES,
@@ -818,8 +853,10 @@ def run_suite(
             )
         # Recorded as each arrives, so a cell that raises keeps the
         # results of the cells before it.
-        for (stats, seconds), (context, _, _, key) in zip(fresh, cells):
+        for (stats, seconds), (context, _, config, key) in zip(fresh, cells):
             context._record(key, stats, seconds)
+            if config.engine == "fast":
+                _tally_lane(timings, config, context, trace_dir is not None)
 
     # Every cell's stats are in its context's memo now, traced ones too.
     for context in run_contexts:

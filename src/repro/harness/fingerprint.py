@@ -32,14 +32,20 @@ from repro.uarch.config import MachineConfig
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+#: Source files that decide results: the Python modules and the
+#: compiled lane's C source (:mod:`repro.uarch.lane`).
+_SOURCE_SUFFIXES = (".py", ".c", ".h")
+
+
 def source_digest(root: str) -> str:
-    """Hex SHA-256 over every ``.py`` file under ``root``: the sorted
-    relative paths, each followed by its file's bytes."""
+    """Hex SHA-256 over every ``.py``, ``.c`` and ``.h`` file under
+    ``root``: the sorted relative paths, each followed by its file's
+    bytes."""
     rels = []
     for dirpath, _dirs, files in os.walk(root):
         rels.extend(
             os.path.relpath(os.path.join(dirpath, name), root)
-            for name in files if name.endswith(".py")
+            for name in files if name.endswith(_SOURCE_SUFFIXES)
         )
     h = hashlib.sha256()
     for rel in sorted(rel.replace(os.sep, "/") for rel in rels):

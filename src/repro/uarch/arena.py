@@ -1,15 +1,18 @@
-"""Static tables for the vectorized batch engine (``engine="batch"``).
+"""Static tables for the batch engine and the compiled lane.
 
-The lockstep engine (:mod:`repro.uarch.batch.engine`) advances many
-simulation cells in parallel.  Everything that does not depend on
-per-cell *timing* is tabulated here, once per program and once per
-trace of a ``run_batch`` call, and shared by every cell of that call:
+Two engines advance simulation cells over flat integer tables instead
+of Python objects: the vectorized batch engine
+(:mod:`repro.uarch.batch`, ``engine="batch"``) and the compiled C lane
+(:mod:`repro.uarch.lane`, which runs baseline and dual-path cells of
+``engine="fast"``).  Everything that does not depend on per-cell
+*timing* is tabulated here, and :func:`envelope_reason` says which
+cells the tables describe exactly:
 
 * **Program tables** (:class:`ProgramArena`) — one Python list entry
   per block: the plan's own ``BlockPlan.timing_rows``, successor block
   ids, branch PCs, BTB redirect sites and reconvergence PCs for
-  wrong-path walks.  Span macro blocks (:mod:`repro.uarch.batch.horizon`)
-  append after the program's own blocks.
+  wrong-path walks.  The batch engine appends its span macro blocks
+  (:mod:`repro.uarch.batch.horizon`) after the program's own blocks.
 
 * **Trace tables** (:class:`TraceArena`) — one list entry per record,
   per load and per call node.  For baseline / dual-path machines the
@@ -23,11 +26,11 @@ trace of a ``run_batch`` call, and shared by every cell of that call:
   every RAS underflow and the call stack at each record — for every
   cell of that trace at once.
 
-The engine concatenates the lists of every program and trace of a call
-for its scalar code, and builds from them, once, the numpy tables its
-vector step reads.  Nothing here outlives the call: building the tables
-costs a few percent of the simulation they serve, and only a process
-that runs the same program through many calls could reuse them.
+Both engines build the tables per call and keep none: the batch engine
+once per ``run_batch`` call, the lane once per cell.  For the batch
+engine building them costs a few percent of the simulation they serve;
+for the lane the trace replay is most of a cell, because its C loop is
+that much faster (docs/performance.md, "The compiled lane").
 
 The replay drives the scalar engines' own components —
 :class:`~repro.memsys.hierarchy.CacheHierarchy` (built and L2-warmed by
@@ -35,7 +38,7 @@ The replay drives the scalar engines' own components —
 :class:`~repro.uarch.storebuffer.StoreBuffer` and
 :class:`~repro.branch.ras.ReturnAddressStack` — at the default
 :class:`~repro.uarch.config.MachineConfig` geometry, the only one
-``cell_supported`` admits, so every replacement, forwarding and
+:func:`envelope_reason` admits, so every replacement, forwarding and
 underflow decision has one implementation.
 
 The BTB is the one structure a walkless run still updates per cell, but
@@ -45,6 +48,8 @@ by filling a default :class:`~repro.branch.btb.BranchTargetBuffer` with
 every redirect site) a one-bit "seen" flag per redirect site reproduces
 every hit/miss decision.  Programs that could evict fall back to the
 fast engine.
+
+This module imports no numpy: the lane runs without it.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from typing import Dict, List, Tuple
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.ras import ReturnAddressStack
 from repro.cfg.analysis import ProgramAnalysis
-from repro.uarch.batch.horizon import trace_spans
 from repro.uarch.config import MachineConfig
 from repro.uarch.plan import (
     KIND_ALU,
@@ -82,6 +86,69 @@ JREG = NUM_ARCH_REGS + 1
 #: True.
 NO_PC = -1
 NO_RECONV = -1
+
+#: The default machine: :func:`envelope_reason` admits no other
+#: predictor, estimator, BTB, RAS, store-buffer or memory geometry.
+_DEFAULT = MachineConfig()
+
+
+def envelope_reason(config, traced: bool, predication: bool = True) -> str:
+    """Why the table-driven engines cannot run a cell of this
+    configuration, or ``""`` when they can (the program is checked
+    separately, by :attr:`ProgramArena.reason`).
+
+    With ``predication`` (the batch engine) plain DMP/DHP cells are
+    inside; without it (the compiled lane) only baseline and dual-path
+    cells are.  Each reason names what puts the cell outside, so a
+    fallback summary can group by it."""
+    from repro.validation.runtime import paranoid_enabled
+
+    if traced:
+        return "event tracer attached"
+    if config.mode not in ("baseline", "dualpath"):
+        if not predication:
+            return (
+                f"mode {config.mode!r} (the compiled lane runs baseline "
+                "and dual-path only)"
+            )
+        if config.mode in ("dmp", "dhp"):
+            # Plain dynamic predication vectorizes; each enhancement
+            # that does not is named.
+            if config.loop_predication:
+                return "loop predication (loop episodes are scalar-only)"
+            if config.early_exit:
+                return "early exit (alternate-path early exit is scalar-only)"
+            if config.multiple_diverge:
+                return (
+                    "multiple diverge branches "
+                    "(restart/nested episodes are scalar-only)"
+                )
+            if config.selective_predictor_update:
+                return "selective predictor update (scalar-only)"
+        elif config.mode == "mpp":
+            # The learned hint table changes between lookups as the
+            # predictor trains, which the ganged-episode kernels cannot
+            # express.
+            return "mode 'mpp' (learned merge points are scalar-only)"
+        else:
+            return f"mode {config.mode!r} (wish branches are scalar-only)"
+    if config.oracle_checks or config.watchdog or paranoid_enabled():
+        return "oracle/watchdog instrumentation"
+    if config.predictor_kind != "perceptron" or config.predictor_args:
+        return "non-default direction predictor"
+    if config.confidence_kind != "jrs" or (
+        set(config.confidence_args) - {"threshold"}
+    ):
+        return "non-default confidence estimator"
+    if (config.btb_entries != _DEFAULT.btb_entries
+            or config.ras_depth != _DEFAULT.ras_depth):
+        return "non-default BTB/RAS geometry"
+    if config.store_buffer_size != _DEFAULT.store_buffer_size:
+        return "non-default store buffer"
+    if (config.memory_latency != _DEFAULT.memory_latency
+            or config.prefetch_lines != _DEFAULT.prefetch_lines):
+        return "non-default memory system"
+    return ""
 
 
 class ProgramArena:
@@ -133,7 +200,7 @@ class ProgramArena:
         #: the diverge-hint table is keyed by it.
         self.BRPC: List[int] = []
         self.RECONV: List[int] = []
-        #: Span macro ids by constituent block tuple (horizon.py).
+        #: Span macro ids by constituent block tuple (batch horizon.py).
         self.macros: Dict[Tuple[int, ...], int] = {}
 
         gid = self.gid
@@ -171,7 +238,7 @@ class ProgramArena:
         # Static BTB no-eviction check: the seen-bit model is exact only
         # if no set can ever hold more than its ways, i.e. if the default
         # BTB holds every redirect site at once.
-        btb = BranchTargetBuffer(MachineConfig().btb_entries)
+        btb = BranchTargetBuffer(_DEFAULT.btb_entries)
         for pc in sites:
             btb.insert(pc, pc)
         if any(btb.lookup(pc) is None for pc in sites):
@@ -186,14 +253,12 @@ class TraceArena:
     underflow on its return) and ``RNODE`` (call node it runs in, -1 at
     top level); per load ``LLAT`` and ``LFWD`` (latency, or the store
     ordinal it forwards from, else -1); per call node ``NODEPAR`` and
-    ``NODERET`` (parent node and return block); per record again the
-    horizon span lookup ``SPANBLK``/``SPANLAST``
-    (:func:`~repro.uarch.batch.horizon.trace_spans`)."""
+    ``NODERET`` (parent node and return block)."""
 
     def __init__(self, parena: ProgramArena, trace, warm_words) -> None:
         # The default machine's components, built as every simulator
-        # builds them (cell_supported admits no other geometry).
-        config = MachineConfig()
+        # builds them (envelope_reason admits no other geometry).
+        config = _DEFAULT
         hierarchy = build_hierarchy(config, warm_words)
         inst_access = hierarchy.inst_access
         data_access = hierarchy.data_access
@@ -290,7 +355,3 @@ class TraceArena:
         self.NODEPAR = node_parent
         self.NODERET = node_ret
         self.nstores = nstores
-        # Horizon spans over the quiet runs; new macros join parena.
-        self.SPANBLK, self.SPANLAST = trace_spans(
-            parena, self.RBLK, self.REXTRA
-        )

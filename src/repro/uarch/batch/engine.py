@@ -38,7 +38,7 @@ per misprediction), and are cheap integer arithmetic; vectorizing them
 would force every cell to wait one driver iteration per walked *block*,
 which measures far slower than stepping the few walking cells inline.
 
-The static tables come from :mod:`repro.uarch.batch.arena`, built once
+The static tables come from :mod:`repro.uarch.arena`, built once
 per ``run_batch`` call: per-program block lists plus a per-trace replay
 of everything timing-independent (icache stalls, load latencies and
 forwarding sources, store-buffer contents, RAS underflows, the
@@ -59,7 +59,14 @@ except Exception:  # pragma: no cover - every cell falls back
 
 from repro.branch.perceptron import PerceptronPredictor
 from repro.confidence import make_estimator
-from repro.uarch.batch.arena import JREG, ZREG, ProgramArena, TraceArena
+from repro.uarch.arena import (
+    JREG,
+    ZREG,
+    ProgramArena,
+    TraceArena,
+    envelope_reason,
+)
+from repro.uarch.batch.horizon import trace_spans
 from repro.uarch.plan import (
     KIND_LOAD,
     KIND_STORE,
@@ -69,12 +76,8 @@ from repro.uarch.plan import (
     TERM_NONE,
     TERM_RET,
 )
-from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
 
-#: The default machine: ``cell_supported`` admits no other predictor,
-#: estimator, BTB, RAS, store-buffer or memory geometry.
-_DEFAULT = MachineConfig()
 #: Table geometry of the one predictor and estimator the vector path
 #: supports, read off default instances of the scalar classes that own
 #: it (untrained perceptrons share one zero row, so this is cheap).
@@ -285,49 +288,9 @@ def batch_supported() -> bool:
 def _config_reason(config, tracer) -> str:
     """Why the vector path cannot run a cell of this configuration, or
     ``""`` when it can (the program is checked separately)."""
-    from repro.validation.runtime import paranoid_enabled
-
     if np is None:
         return "numpy is not importable"
-    if tracer is not None:
-        return "event tracer attached"
-    if config.mode in ("dmp", "dhp"):
-        # Plain dynamic predication vectorizes; each enhancement that
-        # does not is named so the fallback summary can group by it.
-        if config.loop_predication:
-            return "loop predication (loop episodes are scalar-only)"
-        if config.early_exit:
-            return "early exit (alternate-path early exit is scalar-only)"
-        if config.multiple_diverge:
-            return (
-                "multiple diverge branches "
-                "(restart/nested episodes are scalar-only)"
-            )
-        if config.selective_predictor_update:
-            return "selective predictor update (scalar-only)"
-    elif config.mode == "mpp":
-        # The learned hint table changes between lookups as the predictor
-        # trains, which the ganged-episode kernels cannot express.
-        return "mode 'mpp' (learned merge points are scalar-only)"
-    elif config.mode not in ("baseline", "dualpath"):
-        return f"mode {config.mode!r} (wish branches are scalar-only)"
-    if config.oracle_checks or config.watchdog or paranoid_enabled():
-        return "oracle/watchdog instrumentation"
-    if config.predictor_kind != "perceptron" or config.predictor_args:
-        return "non-default direction predictor"
-    if config.confidence_kind != "jrs" or (
-        set(config.confidence_args) - {"threshold"}
-    ):
-        return "non-default confidence estimator"
-    if (config.btb_entries != _DEFAULT.btb_entries
-            or config.ras_depth != _DEFAULT.ras_depth):
-        return "non-default BTB/RAS geometry"
-    if config.store_buffer_size != _DEFAULT.store_buffer_size:
-        return "non-default store buffer"
-    if (config.memory_latency != _DEFAULT.memory_latency
-            or config.prefetch_lines != _DEFAULT.prefetch_lines):
-        return "non-default memory system"
-    return ""
+    return envelope_reason(config, tracer is not None)
 
 
 def cell_supported(cell: BatchCell) -> Tuple[bool, str]:
@@ -489,7 +452,9 @@ class _Group:
             warm = tuple(cell.warm_words) if cell.warm_words else ()
             tkey = (pkey, id(cell.trace), warm)
             if tkey not in traces:
-                traces[tkey] = TraceArena(pa, cell.trace, warm)
+                ta = traces[tkey] = TraceArena(pa, cell.trace, warm)
+                # Horizon spans over the quiet runs; new macros join pa.
+                ta.SPANBLK, ta.SPANLAST = trace_spans(pa, ta.RBLK, ta.REXTRA)
                 tprog.append(pkey)
             cell_trace.append(tkey)
         plist = list(programs.values())

@@ -29,7 +29,7 @@ dpred episode can return the cursor to any record (its continuation
 lands wherever the predicated path stopped), and the suffix of a quiet
 run is itself a quiet run.  Macro blocks are interned by their block-id
 tuple — loops make the same sequences recur constantly — and appended
-to their :class:`~repro.uarch.batch.arena.ProgramArena`'s lists after
+to their :class:`~repro.uarch.arena.ProgramArena`'s lists after
 the program's own blocks, so the engine reads a macro exactly like any
 other block.
 """

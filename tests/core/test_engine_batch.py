@@ -498,7 +498,7 @@ def test_static_tables_live_for_one_call(monkeypatch):
     and keeps none of them after it returns."""
     import gc
 
-    from repro.uarch.batch.arena import ProgramArena, TraceArena
+    from repro.uarch.arena import ProgramArena, TraceArena
 
     built = {ProgramArena: 0, TraceArena: 0}
     for cls in built:

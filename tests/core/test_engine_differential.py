@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.processors import simulate
 from repro.harness.experiment import BenchmarkContext
 from repro.obs.events import CollectorTracer
 from repro.uarch.config import MachineConfig
@@ -54,6 +55,50 @@ def _assert_identical(ctx: BenchmarkContext, config: MachineConfig) -> None:
 def test_fast_engine_bit_identical(bench_name, config_name):
     """Hardened fast run == hardened reference run, field for field."""
     _assert_identical(_context(bench_name), CONFIGS[config_name]().hardened())
+
+
+def _assert_lane_identical(ctx: BenchmarkContext, config: MachineConfig):
+    """The default (fast) engine sends ``config`` to the compiled lane;
+    its stats must be the reference engine's, field for field."""
+    program, trace = ctx.program, ctx.trace
+    warm = ctx.workload.memory.warm_words()
+    ref = simulate(program, trace, config.replace(engine="reference"),
+                   benchmark=ctx.name, warm_words=warm)
+    got = simulate(program, trace, config, benchmark=ctx.name,
+                   warm_words=warm)
+    assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
+        ctx.name, config.describe(),
+    )
+
+
+@pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
+def test_compiled_lane_bit_identical(bench_name, lane_calls):
+    """Un-hardened baseline and dual-path cells run on the compiled
+    lane, with the reference engine's stats."""
+    ctx = _context(bench_name)
+    for config in (MachineConfig.baseline(), MachineConfig.dualpath()):
+        _assert_lane_identical(ctx, config)
+    assert len(lane_calls) == 2
+
+
+def test_compiled_lane_mixed_sizing_grid(lane_calls):
+    """The lane across frontend/backend sizings, including ROBs smaller
+    than a block (the window stalls inside one block's rows)."""
+    grid = [
+        MachineConfig.baseline().replace(fetch_width=8, rob_size=512),
+        MachineConfig.baseline().replace(rob_size=16),
+        MachineConfig.dualpath().replace(rob_size=32, retire_width=8),
+        MachineConfig.dualpath().replace(
+            fetch_width=8, pipeline_depth=30
+        ),
+        MachineConfig.dualpath().replace(
+            fetch_width=4, pipeline_depth=10, rob_size=8, retire_width=4
+        ),
+    ]
+    for name in ("parser", "gzip", "mcf"):
+        for config in grid:
+            _assert_lane_identical(_context(name), config)
+    assert len(lane_calls) == 3 * len(grid)
 
 
 @pytest.mark.parametrize("bench_name", ("parser", "gzip", "mcf"))

@@ -38,6 +38,17 @@ class TestCleanSweep:
             findings = check_spec(draw_spec(seed))
             assert findings == [], [f.summary() for f in findings]
 
+    def test_unhardened_cells_run_on_the_compiled_lane(self, lane_calls):
+        """Un-hardened baseline and dual-path cells of generated
+        programs go down the compiled lane and match the reference."""
+        for seed in CLEAN_SEEDS:
+            findings = check_spec(
+                draw_spec(seed), modes=("baseline", "dualpath"),
+                engines=("reference", "fast"), harden=False,
+            )
+            assert findings == [], [f.summary() for f in findings]
+        assert len(lane_calls) == 2 * len(CLEAN_SEEDS)
+
     def test_mode_configs_cover_every_fuzz_mode(self):
         configs = mode_configs()
         assert set(configs) == set(FUZZ_MODES)

@@ -250,6 +250,28 @@ class TestRunBench:
             assert cell["profile"][phase] > 0, phase
         assert report["summary"]["profile"] == {"scalar": cell["profile"]}
 
+    def test_lane_cell_profile_split(self, lane_calls):
+        """A cell on the compiled lane spends its run in the C loop
+        (``compiled``) and its table build (``construct``); no Python
+        engine phase runs."""
+        from repro.uarch import lane
+
+        execute = lane._execute
+        report = bench.run_bench(
+            benchmarks=("gzip",), configs=("base",), iterations=60,
+            repeats=1, batch="off", profile=True,
+        )
+        assert lane._execute is execute
+        (cell,) = report["cells"]
+        assert cell["identical"] is True
+        split = cell["profile"]
+        assert list(split) == [
+            "construct", *bench.SCALAR_PHASES, "compiled", "other",
+        ]
+        assert split["compiled"] > 0 and split["construct"] > 0
+        for phase in (*bench.SCALAR_PHASES, "other"):
+            assert split[phase] == 0, phase
+
     def test_unknown_batch_mode_rejected(self):
         with pytest.raises(ValueError):
             bench.run_bench(batch="sideways")

@@ -142,6 +142,21 @@ class TestCodeDigest:
         model.write_bytes(model.read_bytes().swapcase())  # same length
         assert source_digest(str(tree)) != before
 
+    @pytest.mark.parametrize("name", ["lane.c", "lane.h"])
+    def test_editing_c_source_changes_the_digest(self, tmp_path, name):
+        """The compiled lane's C source decides stats as much as the
+        Python does, so an edit to it must move the digest too."""
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            self.module._PACKAGE_ROOT, tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        source = tree / "uarch" / name
+        source.write_bytes(b"/* one */\n")
+        before = source_digest(str(tree))
+        source.write_bytes(b"/* two */\n")
+        assert source_digest(str(tree)) != before
+
     def test_config_fingerprint_follows_the_digest(self, monkeypatch):
         config = MachineConfig.dmp()
         monkeypatch.setattr(self.module, "code_digest", lambda: "a" * 64)

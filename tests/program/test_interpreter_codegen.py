@@ -262,20 +262,3 @@ class TestMemoization:
             (r.function, r.block.name, r.taken, r.mem_addrs) for r in loaded
         ] == [(r.function, r.block.name, r.taken, r.mem_addrs) for r in trace]
         assert loaded.taken_count == 1 and loaded.store_count == 3
-
-    def test_legacy_slot_tuple_state_still_loads(self):
-        b = CFGBuilder("main")
-        b.block("entry").movi(1, 1).halt()
-        block = b.build().block("entry")
-        legacy = (None, {
-            "name": block.name,
-            "instructions": block.instructions,
-            "fallthrough": block.fallthrough,
-            "_preds": block._preds,
-            "_plan": None,
-            "_mem_profile": None,
-        })
-        restored = BasicBlock.__new__(BasicBlock)
-        restored.__setstate__(legacy)
-        assert restored._exec is None
-        assert compile_block(restored)([0] * 32, {}) == (None, ())
